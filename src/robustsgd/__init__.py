@@ -22,7 +22,6 @@ from .attacks import (
 from .configfile import (
     LoadedConfig,
     load_run_config,
-    parse_config,
     parse_config_text,
     render_config,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "ORACLE_VARIANTS", "aggregate", "estimate_kappa",
     "AttackSpec", "AdversaryView", "DEFAULT_ALIE_CANDIDATES",
     "alie", "label_flip", "sign_flip",
-    "LoadedConfig", "load_run_config", "parse_config", "parse_config_text",
+    "LoadedConfig", "load_run_config", "parse_config_text",
     "render_config",
     "ConfigurationError", "ContractViolation", "DataError", "DenseVector",
     "NumericFailure", "RngStream", "RunConfig", "WorkerPopulation",

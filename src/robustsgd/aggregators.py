@@ -1,5 +1,11 @@
 """Aggregation rules and an empirical robustness estimator.
 
+Every rule reduces over axis -2 of an (..., n, d) array: one code path
+serves a single (n, d) input and a stack (R, n, d) of R inputs, returning
+(..., d). Row r of a stacked result is bitwise the rule applied to row r
+alone. Given a Sequence[DenseVector], each rule stacks it to (n, d) and
+answers with a DenseVector.
+
 Implemented rules: plain averaging, Krum and Multi-Krum, coordinatewise
 median and trimmed mean, the smoothed-Weiszfeld geometric median, and
 three oracle-adversarial rules that know the honest set and inject the
@@ -13,16 +19,18 @@ oracle-adversarial variants receive them, by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
     ConfigurationError,
     DenseVector,
+    NumericFailure,
     RngStream,
     as_matrix,
 )
@@ -96,62 +104,84 @@ class RobustnessEstimate:
 # ordinary rules (honest-set blind)
 
 
-def average(updates: Sequence[DenseVector]) -> DenseVector:
-    return DenseVector(as_matrix(updates).mean(axis=0))
+def _stacked(rule):
+    """Give a rule over an (..., n, d) array its public boundary: an ndarray
+    passes straight through and gets an (..., d) ndarray back, while a
+    Sequence[DenseVector] is stacked to (n, d) and answered with a
+    DenseVector."""
+
+    @functools.wraps(rule)
+    def boundary(updates, *args, **kwargs):
+        if isinstance(updates, np.ndarray):
+            # reductions must walk every row in the order they would alone
+            return rule(np.ascontiguousarray(updates), *args, **kwargs)
+        return DenseVector(rule(as_matrix(updates), *args, **kwargs))
+
+    return boundary
+
+
+@_stacked
+def average(mat: np.ndarray) -> np.ndarray:
+    return mat.mean(axis=-2)
 
 
 def _krum_scores(mat: np.ndarray, b: int) -> np.ndarray:
     """Score of each vector: sum of squared distances to its n-b-1 nearest
-    other vectors."""
-    n = mat.shape[0]
+    other vectors. (..., n, d) -> (..., n)."""
+    n = mat.shape[-2]
     keep = n - b - 1
     if keep < 1:
         raise ConfigurationError("krum requires n - b - 1 >= 1")
-    diff = mat[:, None, :] - mat[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    d2.sort(axis=1)
-    return d2[:, :keep].sum(axis=1)
+    diff = mat[..., :, None, :] - mat[..., None, :, :]
+    d2 = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    d2.reshape(d2.shape[:-2] + (n * n,))[..., :: n + 1] = np.inf  # diagonal
+    d2.sort(axis=-1)
+    return d2[..., :keep].sum(axis=-1)
 
 
-def krum(updates: Sequence[DenseVector], b: int) -> DenseVector:
+def _rows(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx[..., k] of each input: (..., n, d), (..., k) -> (..., k, d)."""
+    flat = mat.reshape((-1,) + mat.shape[-2:])
+    picked = flat[np.arange(flat.shape[0])[:, None], idx.reshape(flat.shape[0], -1)]
+    return picked.reshape(idx.shape + mat.shape[-1:])
+
+
+@_stacked
+def krum(mat: np.ndarray, b: int) -> np.ndarray:
     """Vector closest to its n-b-1 neighbors; ties broken by smallest index."""
-    mat = as_matrix(updates)
-    scores = _krum_scores(mat, b)
-    return DenseVector(mat[int(np.argmin(scores))])
+    best = np.argmin(_krum_scores(mat, b), axis=-1)
+    return _rows(mat, best[..., None])[..., 0, :]
 
 
-def multi_krum(updates: Sequence[DenseVector], b: int, q: int) -> DenseVector:
+@_stacked
+def multi_krum(mat: np.ndarray, b: int, q: int) -> np.ndarray:
     """Mean of the q lowest-score vectors (q = 1 reduces to Krum; q = n with
     b = 0 is the plain average)."""
-    mat = as_matrix(updates)
-    if not 1 <= q <= mat.shape[0]:
+    if not 1 <= q <= mat.shape[-2]:
         raise ConfigurationError("multi_krum requires 1 <= q <= n")
-    scores = _krum_scores(mat, b)
-    chosen = np.argsort(scores, kind="stable")[:q]
-    return DenseVector(mat[chosen].mean(axis=0))
+    chosen = np.argsort(_krum_scores(mat, b), axis=-1, kind="stable")[..., :q]
+    return _rows(mat, chosen).mean(axis=-2)
 
 
-def cwm(updates: Sequence[DenseVector]) -> DenseVector:
+@_stacked
+def cwm(mat: np.ndarray) -> np.ndarray:
     """Coordinatewise median; even count takes the midpoint of the central
     pair."""
-    return DenseVector(np.median(as_matrix(updates), axis=0))
+    return np.median(mat, axis=-2)
 
 
-def cwtm(updates: Sequence[DenseVector], q: int) -> DenseVector:
+@_stacked
+def cwtm(mat: np.ndarray, q: int) -> np.ndarray:
     """Coordinatewise trimmed mean: drop the q smallest and q largest values
     per coordinate, average the rest."""
-    mat = as_matrix(updates)
-    n = mat.shape[0]
+    n = mat.shape[-2]
     if q < 1 or n - 2 * q < 1:
         raise ConfigurationError("cwtm requires 1 <= q and n - 2q >= 1")
-    srt = np.sort(mat, axis=0)
-    return DenseVector(srt[q : n - q].mean(axis=0))
+    return np.sort(mat, axis=-2)[..., q : n - q, :].mean(axis=-2)
 
 
-def geometric_median(
-    updates: Sequence[DenseVector], iters: int = 50, nu: float = 1e-8
-) -> DenseVector:
+@_stacked
+def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.ndarray:
     """Smoothed Weiszfeld iteration, run for exactly `iters` rounds from the
     coordinatewise mean:
 
@@ -159,13 +189,12 @@ def geometric_median(
     """
     if iters < 1 or not nu > 0:
         raise ConfigurationError("geometric_median requires iters >= 1, nu > 0")
-    mat = as_matrix(updates)
-    v = mat.mean(axis=0)
+    v = mat.mean(axis=-2)
     for _ in range(iters):
-        dist = np.sqrt(((mat - v) ** 2).sum(axis=1))
+        dist = np.sqrt(((mat - v[..., None, :]) ** 2).sum(axis=-1))
         beta = 1.0 / np.maximum(nu, dist)
-        v = (beta[:, None] * mat).sum(axis=0) / beta.sum()
-    return DenseVector(v)
+        v = (beta[..., None] * mat).sum(axis=-2) / beta.sum(axis=-1, keepdims=True)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +202,21 @@ def geometric_median(
 
 
 def _honest_stats(mat: np.ndarray, honest: Sequence[int]):
-    hm = mat[list(honest)]
-    mean = hm.mean(axis=0)
-    disp = float(((hm - mean) ** 2).sum(axis=1).mean())
+    """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack."""
+    hm = np.take(mat, list(honest), axis=-2)  # C order, as each row alone
+    mean = hm.mean(axis=-2)
+    disp = ((hm - mean[..., None, :]) ** 2).sum(axis=-1).mean(axis=-1)
     return mean, disp
 
 
+@_stacked
 def oracle_adversarial(
-    updates: Sequence[DenseVector],
+    mat: np.ndarray,
     honest_ids: Sequence[int],
     kappa: float,
     variant: str,
     context: Optional[OracleContext] = None,
-) -> DenseVector:
+) -> np.ndarray:
     """Honest-set-aware rules that realize the worst deviation permitted by
     (b, kappa)-robustness, exactly:
 
@@ -199,13 +230,14 @@ def oracle_adversarial(
     noise_c2        mean_H - sqrt(kappa) * W(x; xi_1, xi_2) for the
                     two-worker Bernoulli construction, with the coin values
                     reconstructed from the submissions.
+
+    Each row of an (..., n, d) stack is answered on its own statistics.
     """
     if kappa < 0:
         raise ConfigurationError("kappa must be >= 0")
     honest = sorted(int(i) for i in honest_ids)
     if not honest:
         raise ConfigurationError("oracle rules need a nonempty honest set")
-    mat = as_matrix(updates)
     mean, disp = _honest_stats(mat, honest)
     sk = math.sqrt(kappa)
 
@@ -216,13 +248,13 @@ def oracle_adversarial(
             )
         disp_vec = context.x.values - context.x_star.values
         nrm = math.sqrt(float(np.dot(disp_vec, disp_vec)))
-        mag = math.sqrt(kappa * disp)
+        mag = np.sqrt(kappa * disp)
         if nrm == 0.0:
             out = mean.copy()
-            out[0] += mag
+            out[..., 0] += mag
         else:
-            out = mean - mag * (disp_vec / nrm)
-        return DenseVector(out)
+            out = mean - mag[..., None] * (disp_vec / nrm)
+        return out
 
     inst = context.instance if context is not None else None
     if variant == "hetero_c1":
@@ -230,9 +262,9 @@ def oracle_adversarial(
             raise ConfigurationError(
                 "hetero_c1 applies only to the two-worker heterogeneous construction"
             )
-        if len(honest) != 2 or len(updates) != 2:
+        if len(honest) != 2 or mat.shape[-2] != 2:
             raise ConfigurationError("hetero_c1 expects exactly two honest workers")
-        return DenseVector(mean - sk * (mat[honest[0]] - mean))
+        return mean - sk * (mat[..., honest[0], :] - mean)
 
     if variant == "noise_c2":
         if inst is None or getattr(inst, "construction", None) != "noise":
@@ -244,27 +276,26 @@ def oracle_adversarial(
         sigma = inst.noise.sigma
         if not sigma > 0:
             raise ConfigurationError("noise_c2 requires bernoulli_pm noise with sigma > 0")
-        if len(honest) != 2 or len(updates) != 2 or mat.shape[1] != 1:
+        if len(honest) != 2 or mat.shape[-2] != 2 or mat.shape[-1] != 1:
             raise ConfigurationError("noise_c2 expects the 1-D two-worker instance")
         x = float(context.x.values[0])
         mu = inst.analytic.mu
         B = inst.analytic.B
-        xi = []
-        for w in honest:
-            resid = float(mat[w, 0]) - float(inst.local_grad(w, context.x).values[0])
-            if abs(abs(resid) - sigma) > 1e-6 * max(1.0, sigma):
-                raise ConfigurationError(
-                    "noise_c2 could not reconstruct the coin values; submissions "
-                    "must be plain Bernoulli gradient draws (no momentum)"
-                )
-            xi.append(0 if resid > 0 else 1)
-        if xi[0] == xi[1]:
-            W = B * mu * x
-        elif xi[0] == 1:           # (1, 0)
-            W = -B * mu * x + sigma
-        else:                      # (0, 1)
-            W = B * mu * x + sigma
-        return DenseVector(mean - sk * np.array([W]))
+        grads = np.array([inst.local_grad(w, context.x).values[0] for w in honest])
+        resid = mat[..., honest, 0] - grads
+        if np.any(np.abs(np.abs(resid) - sigma) > 1e-6 * max(1.0, sigma)):
+            raise ConfigurationError(
+                "noise_c2 could not reconstruct the coin values; submissions "
+                "must be plain Bernoulli gradient draws (no momentum)"
+            )
+        xi = resid <= 0            # coin 1 pushes the draw down by sigma
+        bmx = B * mu * x
+        W = np.where(
+            xi[..., 0] == xi[..., 1],
+            bmx,
+            np.where(xi[..., 0], -bmx + sigma, bmx + sigma),   # (1, 0) / (0, 1)
+        )
+        return mean - sk * W[..., None]
 
     raise ConfigurationError(f"unknown oracle variant {variant!r}")
 
@@ -273,45 +304,68 @@ def oracle_adversarial(
 # dispatch
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericFailure(f"{what} entries must be finite")
+
+
 def aggregate(
     spec: AggregatorSpec,
-    updates: Sequence[DenseVector],
+    updates: Union[Sequence[DenseVector], np.ndarray],
     honest_ids: Optional[Sequence[int]] = None,
     context: Optional[OracleContext] = None,
-) -> DenseVector:
+) -> Union[DenseVector, np.ndarray]:
     """Apply the configured rule to n update vectors.
+
+    `updates` is either a Sequence[DenseVector], answered with a DenseVector,
+    or an ndarray of shape (..., n, d) holding a stack of inputs, answered
+    with an (..., d) ndarray whose row r equals the rule applied to stack
+    row r alone. A stack with a non-finite entry, in or out, raises
+    NumericFailure, as a DenseVector would.
 
     honest_ids must be supplied iff the rule is oracle_adversarial; passing
     them to any other rule is a configuration error (ordinary rules are
     honest-set blind by contract).
     """
-    if len(updates) != spec.n:
+    stacked = isinstance(updates, np.ndarray)
+    if stacked and updates.ndim < 2:
+        raise ConfigurationError("stacked updates must have shape (..., n, d)")
+    count = updates.shape[-2] if stacked else len(updates)
+    if count != spec.n:
         raise ConfigurationError(
-            f"expected {spec.n} updates, got {len(updates)}"
+            f"expected {spec.n} updates, got {count}"
         )
     if spec.honest_aware:
         if honest_ids is None:
             raise ConfigurationError(
                 "oracle_adversarial requires honest_ids"
             )
-        return oracle_adversarial(updates, honest_ids, spec.kappa, spec.variant, context)
-    if honest_ids is not None:
+    elif honest_ids is not None:
         raise ConfigurationError(
             f"rule {spec.rule!r} must not receive honest_ids"
         )
-    if spec.rule == "average":
-        return average(updates)
-    if spec.rule == "krum":
-        return krum(updates, spec.b)
-    if spec.rule == "multi_krum":
-        return multi_krum(updates, spec.b, spec.q)
-    if spec.rule == "cwm":
-        return cwm(updates)
-    if spec.rule == "cwtm":
-        return cwtm(updates, spec.q)
-    if spec.rule == "gm":
-        return geometric_median(updates, spec.iters, spec.nu)
-    raise ConfigurationError(f"unhandled rule {spec.rule!r}")
+    if stacked:
+        _check_finite(updates, "stacked updates")
+
+    if spec.honest_aware:
+        out = oracle_adversarial(updates, honest_ids, spec.kappa, spec.variant, context)
+    elif spec.rule == "average":
+        out = average(updates)
+    elif spec.rule == "krum":
+        out = krum(updates, spec.b)
+    elif spec.rule == "multi_krum":
+        out = multi_krum(updates, spec.b, spec.q)
+    elif spec.rule == "cwm":
+        out = cwm(updates)
+    elif spec.rule == "cwtm":
+        out = cwtm(updates, spec.q)
+    elif spec.rule == "gm":
+        out = geometric_median(updates, spec.iters, spec.nu)
+    else:
+        raise ConfigurationError(f"unhandled rule {spec.rule!r}")
+    if stacked:
+        _check_finite(out, "stacked aggregate")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +379,7 @@ def _ratio(spec, mat, honest, context) -> float:
     else:
         out = aggregate(spec, updates)
     mean, disp = _honest_stats(mat, honest)
+    disp = float(disp)
     dev = out.values - mean
     num = float(np.dot(dev, dev))
     if disp == 0.0:

@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .aggregators import AggregatorSpec, OracleContext, aggregate
-from .core import ConfigurationError, DataError, DenseVector, as_matrix
+from .core import ConfigurationError, DataError, DenseVector, NumericFailure, as_matrix
 
 ATTACK_KINDS = ("none", "sign_flip", "label_flip", "alie")
 DEFAULT_ALIE_CANDIDATES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -49,6 +49,9 @@ class AdversaryView:
     x: DenseVector
     n: int
     context: Optional[OracleContext] = None
+    # set by alie: the server's aggregate of the input it crafted, so the
+    # caller need not aggregate that input again (None if the attack is inert)
+    server_output: Optional[np.ndarray] = None
 
 
 def sign_flip(honest_style_gradient: DenseVector) -> DenseVector:
@@ -75,15 +78,19 @@ def alie(view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
     deviation over honest workers, not averaged), and the scalar
     alpha*sigma_dev is added to every coordinate.
 
-    alpha is chosen greedily: every Byzantine slot is filled with the
-    candidate vector, the server's actual rule is applied, and the candidate
-    maximizing ||A(...) - mu|| wins. Ties go to the first candidate in
-    listed order; with zero honest dispersion every candidate collapses to
-    mu and the attack is inert.
+    alpha is chosen greedily by one probe of the server's actual rule: the
+    (len(candidates), n, d) stack holding the honest updates and, in every
+    Byzantine slot, one candidate vector per row is aggregated in a single
+    call, and the candidate maximizing ||A(...) - mu|| wins. Ties go to the
+    first candidate in listed order. The winning row of that call is the
+    server's output on the crafted input; it is recorded as
+    view.server_output. With zero honest dispersion every candidate
+    collapses to mu, the attack is inert and nothing is recorded.
     """
     cands = tuple(candidate_alphas) if candidate_alphas is not None else DEFAULT_ALIE_CANDIDATES
     if not cands:
         raise ConfigurationError("alie needs a nonempty candidate set")
+    view.server_output = None
     honest = list(view.honest_updates)
     if not honest:
         raise ConfigurationError("alie needs at least one honest update")
@@ -96,24 +103,25 @@ def alie(view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
     honest_ids = [int(i) for i in view.honest_ids]
     byz_ids = sorted(set(range(view.n)) - set(honest_ids))
     spec = view.aggregator
-    best_alpha = None
+    probes = mu + np.asarray(cands, dtype=np.float64)[:, None] * sigma_dev
+    if not np.all(np.isfinite(probes)):
+        raise NumericFailure("alie candidate submissions must be finite")
+    stack = np.empty((len(cands), view.n, hmat.shape[1]))
+    stack[:, honest_ids] = hmat
+    stack[:, byz_ids] = probes[:, None, :]
+    outs = aggregate(
+        spec,
+        stack,
+        honest_ids=honest_ids if spec.honest_aware else None,
+        context=view.context,
+    )
+    best = 0
     best_score = -1.0
-    for alpha in cands:
-        g = DenseVector(mu + alpha * sigma_dev)
-        full = [None] * view.n
-        for i, u in zip(honest_ids, honest):
-            full[i] = u
-        for j in byz_ids:
-            full[j] = g
-        out = aggregate(
-            spec,
-            full,
-            honest_ids=honest_ids if spec.honest_aware else None,
-            context=view.context,
-        )
-        dev = out.values - mu
+    for r, out in enumerate(outs):
+        dev = out - mu
         score = math.sqrt(float(np.dot(dev, dev)))
         if score > best_score:
             best_score = score
-            best_alpha = alpha
-    return DenseVector(mu + best_alpha * sigma_dev)
+            best = r
+    view.server_output = outs[best]
+    return DenseVector(probes[best])

@@ -99,10 +99,11 @@ def cmd_estimate_kappa(args) -> int:
     spec = AggregatorSpec(rule=args.rule, n=args.n, b=args.b, q=args.q)
     est = estimate_kappa(spec, samples=args.samples, dim=args.dim,
                          rng=RngStream(args.seed, 0, "estimate-kappa"))
-    print(json.dumps({
+    print(json.dumps(_json_safe({
         "rule": args.rule, "n": args.n, "b": args.b,
         "kappa_hat": est.kappa_hat, "samples": est.samples,
-    }, indent=2, sort_keys=True))
+        "violation": est.violation,
+    }), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -284,11 +284,6 @@ def load_run_config(path: str) -> LoadedConfig:
     return materialize(resolve(parse_config_text(text)))
 
 
-def parse_config(path: str) -> RunConfig:
-    """File path -> fully validated RunConfig."""
-    return load_run_config(path).config
-
-
 def render_config(kv: dict, sweep: bool = False) -> str:
     """Canonical echo of a resolved config (registry order, one key per
     line); round-trips through parse_config_text."""

@@ -129,10 +129,6 @@ def as_matrix(updates: Sequence[DenseVector]) -> np.ndarray:
     return np.stack([u.values for u in updates], axis=0)
 
 
-def from_array(arr: np.ndarray) -> DenseVector:
-    return DenseVector(arr)
-
-
 @dataclass(frozen=True)
 class WorkerPopulation:
     """n workers, b of them Byzantine; honest_ids is the honest index set H
@@ -187,11 +183,6 @@ def honest_mean(updates: Sequence[DenseVector], pop: WorkerPopulation) -> DenseV
     mat = as_matrix(updates)
     idx = pop.honest_sorted()
     return DenseVector(mat[idx].mean(axis=0))
-
-
-def honest_mean_array(mat: np.ndarray, honest_sorted: Sequence[int]) -> np.ndarray:
-    """Array-level honest mean for hot loops; `mat` is (n, d)."""
-    return mat[list(honest_sorted)].mean(axis=0)
 
 
 class RngStream:

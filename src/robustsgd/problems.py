@@ -213,14 +213,6 @@ class ProblemInstance:
             raise ConfigurationError("instance has no known minimizer x_star")
         return self.f_H(self.analytic.x_star)
 
-    def honest_mean_quadratic(self) -> QuadraticLocal:
-        if not self.is_quadratic:
-            raise ConfigurationError("not a quadratic instance")
-        ids = self.pop.honest_sorted()
-        a = np.mean([self.locals[i].a for i in ids], axis=0)
-        c = np.mean([self.locals[i].c for i in ids], axis=0)
-        return QuadraticLocal(a, c)
-
     def summary(self) -> dict:
         out = {
             "n": self.pop.n,

@@ -423,6 +423,7 @@ def run(
         for i in honest:
             updates[i] = DenseVector(m[i])
 
+        agg_out = None
         if byz:
             if attack.kind == "alie":
                 view = AdversaryView(
@@ -438,6 +439,8 @@ def run(
                 crafted = alie(view, attack.candidate_alphas)
                 for j in byz:
                     updates[j] = crafted
+                # alie's probe already aggregated exactly this input
+                agg_out = view.server_output
             else:
                 for j in byz:
                     src = poisoned if attack.kind == "label_flip" else inst
@@ -475,7 +478,7 @@ def run(
 
         if _force_honest_mean:
             agg_out = m[honest].mean(axis=0)
-        else:
+        elif agg_out is None:
             context = OracleContext(x=X, x_star=inst.analytic.x_star, instance=inst)
             agg_out = aggregate(
                 agg,

@@ -18,7 +18,7 @@ from robustsgd.aggregators import (
     multi_krum,
     oracle_adversarial,
 )
-from robustsgd.core import ConfigurationError, DenseVector, RngStream
+from robustsgd.core import ConfigurationError, DenseVector, NumericFailure, RngStream
 from robustsgd.problems import build_hetero_lower_bound, build_noise_lower_bound
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, width=64)
@@ -278,6 +278,106 @@ class TestOracleAdversarial:
         ups = [DenseVector([0.123]), DenseVector([0.456])]
         with pytest.raises(ConfigurationError, match="reconstruct the coin"):
             oracle_adversarial(ups, [0, 1], 0.09, "noise_c2", ctx)
+
+
+@st.composite
+def stacked_case(draw):
+    """An (R, n, d) stack with tied rows and tied coordinates mixed in, plus
+    b and the q values of multi_krum and cwtm."""
+    n = draw(st.integers(3, 12))
+    d = draw(st.integers(1, 4))
+    R = draw(st.integers(1, 4))
+    pool = draw(st.lists(coord, min_size=1, max_size=3))
+    entries = draw(st.lists(st.one_of(coord, st.sampled_from(pool)),
+                            min_size=R * n * d, max_size=R * n * d))
+    stack = np.array(entries, dtype=np.float64).reshape(R, n, d)
+    for r in range(R):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            stack[r, i] = stack[r, j]
+    b = draw(st.integers(0, (n - 1) // 2))
+    return stack, b, draw(st.integers(1, n)), draw(st.integers(1, (n - 1) // 2))
+
+
+def _stacked_specs(n, b, q_krum, q_trim):
+    """(spec, honest_ids) for every rule that takes arbitrary inputs."""
+    return [
+        (AggregatorSpec(rule="average", n=n, b=b), None),
+        (AggregatorSpec(rule="krum", n=n, b=b), None),
+        (AggregatorSpec(rule="multi_krum", n=n, b=b, q=q_krum), None),
+        (AggregatorSpec(rule="cwm", n=n, b=b), None),
+        (AggregatorSpec(rule="cwtm", n=n, b=b, q=q_trim), None),
+        (AggregatorSpec(rule="gm", n=n, b=b), None),
+        (AggregatorSpec(rule="oracle_adversarial", n=n, b=b, kappa=0.3,
+                        variant="variance_sign"), list(range(n - b))),
+    ]
+
+
+def _assert_rows_match_single(spec, stack, honest_ids, ctx):
+    outs = aggregate(spec, stack, honest_ids=honest_ids, context=ctx)
+    assert outs.shape == stack.shape[:1] + stack.shape[2:]
+    for r in range(stack.shape[0]):
+        single = aggregate(spec, [DenseVector(v) for v in stack[r]],
+                           honest_ids=honest_ids, context=ctx).values
+        assert outs[r].tobytes() == single.tobytes(), (spec.rule, r)
+
+
+class TestStackedInputs:
+    @given(stacked_case(), st.sampled_from([0, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_bitwise_equal_single_inputs(self, case, at_optimum):
+        stack, b, q_krum, q_trim = case
+        n, d = stack.shape[1:]
+        x = np.zeros(d) if at_optimum else np.linspace(1.0, 2.0, d)
+        ctx = OracleContext(x=DenseVector(x), x_star=DenseVector(np.zeros(d)))
+        for spec, honest_ids in _stacked_specs(n, b, q_krum, q_trim):
+            _assert_rows_match_single(spec, stack, honest_ids, ctx)
+
+    @given(stacked_case(), st.sampled_from([np.inf, -np.inf, np.nan]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_entries_raise_on_both_paths(self, case, bad):
+        stack, b, q_krum, q_trim = case
+        n, d = stack.shape[1:]
+        stack[-1, n - 1, d - 1] = bad
+        ctx = OracleContext(x=DenseVector(np.ones(d)), x_star=DenseVector(np.zeros(d)))
+        for spec, honest_ids in _stacked_specs(n, b, q_krum, q_trim):
+            with pytest.raises(NumericFailure):
+                aggregate(spec, stack, honest_ids=honest_ids, context=ctx)
+            with pytest.raises(NumericFailure):
+                aggregate(spec, [DenseVector(v) for v in stack[-1]],
+                          honest_ids=honest_ids, context=ctx)
+
+    @given(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=4),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_hetero_c1_rows_bitwise_equal_single_inputs(self, rows, kappa):
+        inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
+        spec = AggregatorSpec(rule="oracle_adversarial", n=2, kappa=kappa,
+                              variant="hetero_c1")
+        ctx = OracleContext(x=DenseVector([0.7]), x_star=inst.analytic.x_star,
+                            instance=inst)
+        stack = np.array(rows).reshape(len(rows), 2, 1)
+        _assert_rows_match_single(spec, stack, [0, 1], ctx)
+
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6),
+           st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_noise_c2_rows_bitwise_equal_single_inputs(self, coins, kappa, x):
+        sigma = 0.7
+        inst = build_noise_lower_bound(mu=1.0, B=0.5, sigma=sigma)
+        spec = AggregatorSpec(rule="oracle_adversarial", n=2, kappa=kappa,
+                              variant="noise_c2")
+        X = DenseVector([x])
+        ctx = OracleContext(x=X, instance=inst)
+        g = [inst.local_grad(w, X).values[0] for w in (0, 1)]
+        stack = np.array([[[g[0] + (-sigma if c0 else sigma)],
+                           [g[1] + (-sigma if c1 else sigma)]] for c0, c1 in coins])
+        _assert_rows_match_single(spec, stack, [0, 1], ctx)
+
+    def test_stack_must_hold_n_updates(self):
+        spec = AggregatorSpec(rule="cwm", n=4)
+        with pytest.raises(ConfigurationError, match="expected 4"):
+            aggregate(spec, np.zeros((2, 3, 1)))
 
 
 class TestDispatchContract:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustsgd.aggregators import AggregatorSpec, aggregate
+from robustsgd.aggregators import AggregatorSpec, OracleContext, aggregate
 from robustsgd.attacks import (
     DEFAULT_ALIE_CANDIDATES,
     AdversaryView,
@@ -17,6 +17,36 @@ from robustsgd.attacks import (
 from robustsgd.core import ConfigurationError, DataError, DenseVector
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def _reference_alie(view, cands):
+    """Per-candidate ALIE: one aggregate call for each candidate alpha.
+    Returns the chosen alpha, every candidate's score and the server's
+    output on the winning input."""
+    honest = list(view.honest_updates)
+    hmat = np.stack([u.values for u in honest])
+    mu = hmat.mean(axis=0)
+    sigma_dev = math.sqrt(float(((hmat - mu) ** 2).sum()))
+    honest_ids = [int(i) for i in view.honest_ids]
+    byz_ids = sorted(set(range(view.n)) - set(honest_ids))
+    spec = view.aggregator
+    best_alpha, best_out, best_score, scores = None, None, -1.0, []
+    for alpha in cands:
+        g = DenseVector(mu + alpha * sigma_dev)
+        full = [None] * view.n
+        for i, u in zip(honest_ids, honest):
+            full[i] = u
+        for j in byz_ids:
+            full[j] = g
+        out = aggregate(spec, full,
+                        honest_ids=honest_ids if spec.honest_aware else None,
+                        context=view.context)
+        dev = out.values - mu
+        score = math.sqrt(float(np.dot(dev, dev)))
+        scores.append(score)
+        if score > best_score:
+            best_alpha, best_out, best_score = alpha, out.values, score
+    return best_alpha, scores, best_out
 
 
 class TestSignFlip:
@@ -74,15 +104,29 @@ class TestAttackSpec:
         assert not AttackSpec(kind="sign_flip").omniscient
 
 
-def _view(honest_rows, n, rule_spec, x=None):
+def _view(honest_rows, n, rule_spec, x=None, honest_ids=None, context=None):
     honest = [DenseVector(r) for r in honest_rows]
     return AdversaryView(
         honest_updates=honest,
-        honest_ids=list(range(len(honest))),
+        honest_ids=honest_ids or list(range(len(honest))),
         aggregator=rule_spec,
         x=x or DenseVector(np.zeros(len(honest_rows[0]))),
         n=n,
+        context=context,
     )
+
+
+def _alie_specs(n, b):
+    return [
+        AggregatorSpec(rule="average", n=n, b=b),
+        AggregatorSpec(rule="krum", n=n, b=b),
+        AggregatorSpec(rule="multi_krum", n=n, b=b, q=n - b),
+        AggregatorSpec(rule="cwm", n=n, b=b),
+        AggregatorSpec(rule="cwtm", n=n, b=b, q=b),
+        AggregatorSpec(rule="gm", n=n, b=b),
+        AggregatorSpec(rule="oracle_adversarial", n=n, b=b, kappa=0.5,
+                       variant="variance_sign"),
+    ]
 
 
 class TestAlie:
@@ -138,6 +182,75 @@ class TestAlie:
         view = _view([[0.0], [2.0]], n=4, rule_spec=spec)
         out = alie(view, candidate_alphas=(0.5, -7.0)).values
         assert out[0] == pytest.approx(1.0 - 7.0 * math.sqrt(2.0), rel=1e-12)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_choice_matches_per_candidate_reference(self, b, extra, d, cands, data):
+        n = 2 * b + extra
+        rows = np.array(data.draw(st.lists(coord, min_size=(n - b) * d,
+                                           max_size=(n - b) * d)))
+        rows = rows.reshape(n - b, d)
+        if data.draw(st.booleans()):
+            rows = np.round(rows / 1e5)  # ties among honest coordinates
+        honest_ids = sorted(data.draw(st.permutations(range(n)))[: n - b])
+        ctx = OracleContext(x=DenseVector(np.ones(d)), x_star=DenseVector(np.zeros(d)))
+        for spec in _alie_specs(n, b):
+            view = _view(rows.tolist(), n=n, rule_spec=spec, honest_ids=honest_ids,
+                         context=ctx)
+            got = alie(view, cands).values
+            alpha, _, out = _reference_alie(view, cands)
+            mu = rows.mean(axis=0)
+            sigma_dev = math.sqrt(float(((rows - mu) ** 2).sum()))
+            if sigma_dev == 0.0:
+                assert view.server_output is None
+                continue
+            assert np.array_equal(got, mu + alpha * sigma_dev), spec.rule
+            assert view.server_output.tobytes() == out.tobytes(), spec.rule
+
+    def test_all_tie_goes_to_first_listed_candidate(self):
+        # one Byzantine slot far from a square honest cluster: krum,
+        # multi_krum and the oracle ignore it, and average, cwm and cwtm
+        # move by the same amount for either sign of alpha, so both
+        # candidates tie (gm's Weiszfeld rounding breaks the symmetry)
+        rows = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
+        mu = np.array(rows).mean(axis=0)
+        sigma_dev = math.sqrt(float(((np.array(rows) - mu) ** 2).sum()))
+        ctx = OracleContext(x=DenseVector([1.0, 0.0]), x_star=DenseVector([0.0, 0.0]))
+        for spec in _alie_specs(6, 1):
+            if spec.rule == "gm":
+                continue
+            for cands in ((50.0, -50.0), (-50.0, 50.0)):
+                view = _view(rows, n=6, rule_spec=spec, context=ctx)
+                alpha, scores, _ = _reference_alie(view, cands)
+                assert scores[0] == scores[1] and alpha == cands[0], spec.rule
+                got = alie(view, cands).values
+                assert np.array_equal(got, mu + cands[0] * sigma_dev), spec.rule
+
+    def test_one_aggregate_call_and_recorded_output(self, monkeypatch):
+        import robustsgd.attacks as attacks_mod
+
+        calls = []
+
+        def counting(spec, updates, *args, **kwargs):
+            calls.append(np.shape(updates))
+            return aggregate(spec, updates, *args, **kwargs)
+
+        monkeypatch.setattr(attacks_mod, "aggregate", counting)
+        spec = AggregatorSpec(rule="gm", n=6, b=2)
+        rows = np.random.default_rng(3).normal(size=(4, 3))
+        view = _view(rows.tolist(), n=6, rule_spec=spec)
+        crafted = alie(view)
+        assert calls == [(len(DEFAULT_ALIE_CANDIDATES), 6, 3)]
+        full = [DenseVector(r) for r in rows] + [crafted, crafted]
+        assert view.server_output.tobytes() == aggregate(spec, full).values.tobytes()
+
+    def test_zero_dispersion_records_nothing(self):
+        spec = AggregatorSpec(rule="cwm", n=3, b=1)
+        view = _view([[1.0], [1.0]], n=3, rule_spec=spec)
+        view.server_output = np.zeros(1)
+        alie(view)
+        assert view.server_output is None
 
     def test_needs_honest_updates(self):
         spec = AggregatorSpec(rule="average", n=2, b=0)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from robustsgd.aggregators import RobustnessEstimate
 from robustsgd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 from robustsgd.configfile import (
     load_run_config,
@@ -290,6 +291,7 @@ class TestToolCommands:
         assert payload["rule"] == "cwm"
         assert payload["samples"] == 200
         assert payload["kappa_hat"] > 0.0
+        assert payload["violation"] is False
 
     def test_estimate_kappa_average_unattacked_is_zero(self, capsys):
         rc = main(["estimate-kappa", "--rule", "average", "--n", "4", "--b", "0",
@@ -297,6 +299,23 @@ class TestToolCommands:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa_hat"] == 0.0
+
+    def test_estimate_kappa_violation_prints_strict_json(self, capsys, monkeypatch):
+        # a zero-dispersion input with a nonzero deviation reads kappa_hat = inf
+        def violated(spec, **kwargs):
+            return RobustnessEstimate(kappa_hat=float("inf"), samples=5,
+                                      worst_case_input=None, violation=True)
+
+        def no_constants(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        monkeypatch.setattr("robustsgd.cli.estimate_kappa", violated)
+        rc = main(["estimate-kappa", "--rule", "cwm", "--n", "6", "--b", "2",
+                   "--samples", "5"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert payload["kappa_hat"] is None
+        assert payload["violation"] is True
 
     def test_estimate_kappa_oracle_rule_needs_kappa(self, capsys):
         rc = main(["estimate-kappa", "--rule", "oracle_adversarial",

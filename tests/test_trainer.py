@@ -500,6 +500,93 @@ class TestAttackIntegration:
         assert kr.f_gap[-1] < avg.f_gap[-1] / 10.0
 
 
+    def test_sign_flip_byzantine_keeps_its_own_momentum(self):
+        # every worker, Byzantine included, runs m <- beta*m + (1-beta)*g on
+        # its own gradient and noise stream; the Byzantine slot submits -m
+        rng = RngStream(46, 0, "t")
+        inst = with_noise(build_random_quadratic_family(n=4, d=2, rng=rng, b=1),
+                          NoiseModel("gaussian", sigma=0.3))
+        gamma, beta, T, seed = 0.05, 0.6, 12, 9
+        cfg = _cfg(inst, T=T, seed=seed,
+                   sched=ScheduleSpec(stepsize="constant", gamma0=gamma,
+                                      momentum="constant", beta=beta),
+                   attack=AttackSpec(kind="sign_flip", byzantine_ids=frozenset({3})))
+        rec = run(cfg)
+
+        gens = [RngStream(seed, w, "noise").generator for w in range(4)]
+        x = np.ones(2)
+        m = np.zeros((4, 2))
+        for t in range(1, T + 1):
+            for w in range(4):
+                g = inst.locals[w].grad(x) + 0.3 / math.sqrt(2) * gens[w].standard_normal(2)
+                m[w] = beta * m[w] + (1.0 - beta) * g
+            x = x - gamma * (m[0] + m[1] + m[2] - m[3]) / 4.0
+            assert rec.xs[t] == pytest.approx(x, rel=1e-12, abs=1e-14), t
+
+    @pytest.mark.parametrize("rule,kw", [("gm", {}), ("krum", {}),
+                                         ("multi_krum", {"q": 3}), ("cwtm", {"q": 1})])
+    def test_alie_step_aggregates_once_and_reuses_the_probe(self, monkeypatch, rule, kw):
+        import robustsgd.attacks as attacks_mod
+        import robustsgd.trainer as trainer_mod
+
+        rng = RngStream(47, 0, "t")
+        inst = with_noise(build_random_quadratic_family(n=6, d=3, rng=rng, b=2),
+                          NoiseModel("gaussian", sigma=0.5))
+        T = 15
+        cfg = _cfg(inst, rule=rule, T=T, sched=ScheduleSpec(stepsize="constant", gamma0=0.05),
+                   attack=AttackSpec(kind="alie", byzantine_ids=frozenset({4, 5})), **kw)
+        calls = []
+        for mod in (attacks_mod, trainer_mod):
+            original = mod.aggregate
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "aggregate", counting)
+        reused = run(cfg)
+        assert len(calls) == T
+
+        # the trainer aggregating the crafted input itself lands on the same
+        # iterates, bit for bit
+        original_alie = trainer_mod.alie
+
+        def forgetful_alie(view, cands):
+            crafted = original_alie(view, cands)
+            view.server_output = None
+            return crafted
+
+        monkeypatch.setattr(trainer_mod, "alie", forgetful_alie)
+        calls.clear()
+        recomputed = run(cfg)
+        assert len(calls) == 2 * T
+        assert reused.xs.tobytes() == recomputed.xs.tobytes()
+
+    def test_alie_with_zero_dispersion_still_aggregates_once(self, monkeypatch):
+        import robustsgd.attacks as attacks_mod
+        import robustsgd.trainer as trainer_mod
+
+        rng = RngStream(48, 0, "t")
+        inst = build_random_quadratic_family(n=5, d=2, rng=rng, b=1,
+                                             shared_curvature=True,
+                                             linear_range=(0.3, 0.3))
+        T = 6
+        cfg = _cfg(inst, rule="cwm", T=T,
+                   attack=AttackSpec(kind="alie", byzantine_ids=frozenset({4})))
+        calls = []
+        for name, mod in (("attacks", attacks_mod), ("trainer", trainer_mod)):
+            original = mod.aggregate
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "aggregate", counting)
+        rec = run(cfg)
+        assert calls == ["trainer"] * T
+        assert np.all(np.isfinite(rec.xs))
+
+
 # ---- lyapunov tracking -------------------------------------------------------
 
 
