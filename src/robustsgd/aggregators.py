@@ -305,7 +305,7 @@ def oracle_adversarial(
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericFailure(f"{what} entries must be finite")
 
 

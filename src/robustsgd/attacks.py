@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +40,11 @@ class AttackSpec:
 @dataclass
 class AdversaryView:
     """What an omniscient adversary gets to see in one iteration: every
-    honest update (aligned with honest_ids order), the server's aggregator,
-    and the current model."""
+    honest update (aligned with honest_ids order, as DenseVectors or as the
+    rows of an (h, d) array), the server's aggregator, and the current
+    model."""
 
-    honest_updates: Sequence[DenseVector]
+    honest_updates: Union[Sequence[DenseVector], np.ndarray]
     honest_ids: Sequence[int]
     aggregator: AggregatorSpec
     x: DenseVector
@@ -54,10 +55,11 @@ class AdversaryView:
     server_output: Optional[np.ndarray] = None
 
 
-def sign_flip(honest_style_gradient: DenseVector) -> DenseVector:
-    """Return the negated update. The Byzantine worker computes an honest
-    stochastic gradient with its own data and noise stream first; honest
-    workers' streams are untouched."""
+def sign_flip(honest_style_gradient):
+    """Return the negated update: a DenseVector, or an array holding one
+    update per row. The Byzantine worker computes an honest stochastic
+    gradient with its own data and noise stream first; honest workers'
+    streams are untouched."""
     return -honest_style_gradient
 
 
@@ -72,7 +74,9 @@ def label_flip(sample, n_classes: int = 10):
     return (features, (n_classes - 1) - y)
 
 
-def alie(view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None) -> DenseVector:
+def alie(
+    view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
+) -> Union[DenseVector, np.ndarray]:
     """Craft the common Byzantine submission mu + alpha*sigma_dev, where mu
     is the honest mean, sigma_dev = sqrt(sum_H ||x_i - mu||^2) (total squared
     deviation over honest workers, not averaged), and the scalar
@@ -86,19 +90,24 @@ def alie(view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
     server's output on the crafted input; it is recorded as
     view.server_output. With zero honest dispersion every candidate
     collapses to mu, the attack is inert and nothing is recorded.
+
+    The crafted vector comes back as a (d,) array when the honest updates
+    are an (h, d) array, and as a DenseVector otherwise.
     """
     cands = tuple(candidate_alphas) if candidate_alphas is not None else DEFAULT_ALIE_CANDIDATES
     if not cands:
         raise ConfigurationError("alie needs a nonempty candidate set")
     view.server_output = None
-    honest = list(view.honest_updates)
-    if not honest:
+    honest = view.honest_updates
+    stacked = isinstance(honest, np.ndarray)
+    if len(honest) == 0:
         raise ConfigurationError("alie needs at least one honest update")
-    hmat = as_matrix(honest)
+    box = np.asarray if stacked else DenseVector
+    hmat = np.ascontiguousarray(honest, dtype=np.float64) if stacked else as_matrix(honest)
     mu = hmat.mean(axis=0)
     sigma_dev = math.sqrt(float(((hmat - mu) ** 2).sum()))
     if sigma_dev == 0.0:
-        return DenseVector(mu)
+        return box(mu)
 
     honest_ids = [int(i) for i in view.honest_ids]
     byz_ids = sorted(set(range(view.n)) - set(honest_ids))
@@ -124,4 +133,4 @@ def alie(view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
             best_score = score
             best = r
     view.server_output = outs[best]
-    return DenseVector(probes[best])
+    return box(probes[best])

@@ -261,11 +261,10 @@ def materialize(kv: dict) -> LoadedConfig:
     )
     _validate_run(config)  # eager: gamma*L bounds, dimension/id coherence
 
-    kb2 = None
-    if agg.kappa is not None and inst.analytic.B is not None:
-        kb2 = agg.kappa * inst.analytic.B**2
-    elif kv["problem.kappa"] is not None and inst.analytic.B is not None:
-        kb2 = kv["problem.kappa"] * inst.analytic.B**2
+    kappa = agg.kappa if agg.kappa is not None else kv["problem.kappa"]
+    B = inst.analytic.B
+    # B * B overflows to inf on a huge finite B, where B**2 would raise
+    kb2 = kappa * B * B if kappa is not None and B is not None else None
     if kb2 is not None and kb2 >= 1.0 / 56.0 and sched.momentum == "tied":
         warnings.append(
             f"kappa*B^2 = {kb2:.6g} >= 1/56: the momentum convergence "

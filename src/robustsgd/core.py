@@ -99,14 +99,6 @@ class DenseVector:
         return f"DenseVector({self._values.tolist()})"
 
 
-def add(a: DenseVector, b: DenseVector) -> DenseVector:
-    return a + b
-
-
-def scale(a: DenseVector, s: float) -> DenseVector:
-    return a * s
-
-
 def dot(a: DenseVector, b: DenseVector) -> float:
     a._check_dim(b)
     return float(np.dot(a.values, b.values))

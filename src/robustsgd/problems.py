@@ -18,9 +18,10 @@ exercise the label-flip attack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,6 +184,25 @@ class ProblemInstance:
     def is_quadratic(self) -> bool:
         return self.task is None
 
+    @functools.cached_property
+    def _coefficients(self):
+        """(A, C): the quadratic locals' coefficients stacked to (n, d)."""
+        return (np.stack([loc.a for loc in self.locals]),
+                np.stack([loc.c for loc in self.locals]))
+
+    def grads(self, x: np.ndarray) -> np.ndarray:
+        """Exact gradients of every local objective at the point x (a (d,)
+        array), stacked to (n, d): row i is grad f_i(x).
+
+        For quadratics this is A * x + C with the coefficients stacked once
+        per instance; each row equals QuadraticLocal.grad bitwise. A
+        classification task takes one full-batch loss_grad per worker.
+        """
+        if self.task is not None:
+            return np.stack([self.task.loss_grad(w, x)[1] for w in range(self.pop.n)])
+        A, C = self._coefficients
+        return A * x + C
+
     def local_grad(self, worker: int, x: DenseVector) -> DenseVector:
         """Exact gradient of f_worker at x."""
         if self.task is not None:
@@ -196,9 +216,14 @@ class ProblemInstance:
             return v
         return self.locals[worker].value(x.values)
 
-    def f_H(self, x: DenseVector) -> float:
+    def f_H(self, x: Union[DenseVector, np.ndarray]) -> float:
+        """Honest average objective at x, a DenseVector or a (d,) array:
+        the per-worker values summed in honest order, then divided."""
+        values = x.values if isinstance(x, DenseVector) else x
         ids = self.pop.honest_sorted()
-        return sum(self.local_value(i, x) for i in ids) / len(ids)
+        if self.task is not None:
+            return sum(self.task.loss_grad(i, values)[0] for i in ids) / len(ids)
+        return sum(self.locals[i].value(values) for i in ids) / len(ids)
 
     def grad_f_H(self, x: DenseVector) -> DenseVector:
         ids = self.pop.honest_sorted()
@@ -206,31 +231,6 @@ class ProblemInstance:
         for i in ids:
             acc += self.local_grad(i, x).values
         return DenseVector(acc / len(ids))
-
-    def f_H_star(self) -> float:
-        """Minimum of the honest average; requires x_star to be known."""
-        if self.analytic.x_star is None:
-            raise ConfigurationError("instance has no known minimizer x_star")
-        return self.f_H(self.analytic.x_star)
-
-    def summary(self) -> dict:
-        out = {
-            "n": self.pop.n,
-            "b": self.pop.b,
-            "dim": self.dim,
-            "construction": self.construction,
-            "noise": {"kind": self.noise.kind, "sigma": self.noise.sigma},
-            "L": self.analytic.L,
-            "mu": self.analytic.mu,
-            "G": self.analytic.G,
-            "B": self.analytic.B,
-        }
-        out.update({k: v for k, v in self.params.items()})
-        if self.analytic.x_star is not None:
-            out["x_star"] = self.analytic.x_star.values.tolist()
-        if self.analytic.x_F_star is not None:
-            out["x_F_star"] = self.analytic.x_F_star.values.tolist()
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,15 @@ gradient and updates its momentum m_i^t = beta_t m_i^{t-1} + (1-beta_t) g_i^t
 (m_i^0 = 0); Byzantine slots are filled by the attack; the server aggregates
 and steps x^t = x^{t-1} - gamma_t g^t. beta_t = 0 throughout reduces to plain
 robust distributed SGD.
+
+The loop works on stacked arrays: the momenta are the rows of one (n, d)
+matrix, the submitted updates another, and the aggregation rule reduces the
+latter directly. For quadratic objectives ProblemInstance.grads gives all n
+exact gradients in one call per step, and each worker's noise is drawn in
+blocks of steps from its own (seed, worker, "noise") stream, bitwise equal
+to drawing it step by step. DenseVector appears only at the API boundary
+(x0, RunRecord.final_x) and where an OracleContext or AdversaryView needs
+the model x.
 """
 
 from __future__ import annotations
@@ -304,30 +313,52 @@ def _poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstance:
 
 
 def _byzantine_honest_style(
-    inst: ProblemInstance, worker: int, x: DenseVector, stream: RngStream
-) -> DenseVector:
-    """Honest-style stochastic gradient of a Byzantine worker's own local
-    objective, drawn from the worker's own stream (the pre-attack value).
-    Mirrors the honest oracle, without its honest-membership contract."""
-    noise = inst.noise
-    if inst.task is not None:
-        if noise.kind == "minibatch":
-            m_avail = inst.task.labels[worker].size
-            idx = stream.generator.integers(0, m_avail, size=noise.m)
-            _, g = inst.task.loss_grad(worker, x.values, idx=idx)
+    inst: ProblemInstance, worker: int, x: np.ndarray, stream: RngStream
+) -> np.ndarray:
+    """Honest-style stochastic gradient of a Byzantine worker on a
+    classification task: its own shard (label-poisoned under label_flip),
+    its own minibatch drawn from its own stream, and none of the honest
+    oracle's membership contract. Quadratic runs take every worker's row
+    from ProblemInstance.grads instead. This stays a function of its own so
+    that perfbench's tracer (`attacks.byzantine_oracle`) can time the
+    Byzantine oracle apart from the honest one."""
+    task = inst.task
+    if inst.noise.kind == "minibatch":
+        m_avail = task.labels[worker].size
+        idx = stream.generator.integers(0, m_avail, size=inst.noise.m)
+        return task.loss_grad(worker, x, idx=idx)[1]
+    return task.loss_grad(worker, x)[1]
+
+
+# Steps of noise drawn at a time: a run holds at most this many steps of
+# perturbations, whatever its horizon.
+_NOISE_BLOCK = 1024
+
+
+def _noise_block(noise, streams: dict, steps: int, n: int, d: int) -> np.ndarray:
+    """The next `steps` gradient perturbations of every worker, (steps, n, d).
+
+    Slice [:, w] holds sigma/sqrt(d) times worker w's draws from its own
+    stream: standard normals (gaussian) or signs 1 - 2*xi with xi in {0, 1}
+    (bernoulli_pm). One (steps, d) draw equals `steps` draws of size d, bit
+    for bit. Workers without a stream get zero slices."""
+    out = np.zeros((steps, n, d))
+    s = noise.sigma / math.sqrt(d)
+    for w, stream in streams.items():
+        gen = stream.generator
+        if noise.kind == "gaussian":
+            out[:, w] = s * gen.standard_normal((steps, d))
         else:
-            _, g = inst.task.loss_grad(worker, x.values)
-        return DenseVector(g)
-    g = inst.locals[worker].grad(x.values)
-    if noise.kind == "none" or noise.sigma == 0.0:
-        return DenseVector(g)
-    dd = g.size
-    if noise.kind == "gaussian":
-        pert = noise.sigma / math.sqrt(dd) * stream.generator.standard_normal(dd)
-    else:
-        xi = stream.generator.integers(0, 2, size=dd)
-        pert = noise.sigma / math.sqrt(dd) * (1.0 - 2.0 * xi)
-    return DenseVector(g + pert)
+            out[:, w] = s * (1.0 - 2.0 * gen.integers(0, 2, size=(steps, d)))
+    return out
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean of the rows, summed in row order from zero and then divided, as
+    ProblemInstance.grad_f_H does. cumsum adds strictly in order where sum
+    may pair terms; adding 0.0 turns an all-(-0.0) sum into the +0.0 that a
+    zero start gives."""
+    return (np.cumsum(rows, axis=0)[-1] + 0.0) / rows.shape[0]
 
 
 def run(
@@ -337,8 +368,16 @@ def run(
 ) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
-    Honest worker i draws from its own (seed, worker, purpose) stream, so a
-    run is bitwise-reproducible and independent of evaluation order.
+    The loop keeps every worker's momentum as the rows of one (n, d)
+    matrix. For quadratics one call of ProblemInstance.grads per step, at
+    the new iterate, gives the metrics of that iterate and the next step's
+    exact gradients; noise is added from (steps, n, d) blocks drawn ahead
+    from each worker's (seed, worker, "noise") stream, bitwise the draws a
+    per-step oracle would make. Classification tasks keep one minibatch
+    oracle call per worker and step. A DenseVector is built only where an
+    OracleContext or AdversaryView needs the model x (oracle rules, ALIE)
+    and at the API boundary (x0, RunRecord.final_x).
+
     Byzantine behavior by attack kind:
 
       none        Byzantine workers behave honestly (own data, own streams)
@@ -347,10 +386,13 @@ def run(
       label_flip  they run on label-poisoned copies of their own shards
       alie        every Byzantine slot submits the common crafted vector
 
+    Every step checks the new iterate and its metrics; the first non-finite
+    value raises NumericFailure naming the iteration and the column.
+
     With lyapunov_kappa set, the run must be deterministic (sigma = 0) and
     use tied momentum with c_beta = 36; the record then carries V^t and a
     LyapunovTrace holding the per-transition descent bound and any steps
-    that exceeded it.
+    that exceeded it. V^t reuses the metrics of x^{t-1}.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -362,10 +404,14 @@ def run(
     honest = pop.honest_sorted()
     byz = sorted(pop.byzantine_ids)
     L = inst.analytic.L
+    noise = inst.noise
+    quadratic = inst.is_quadratic
+    if quadratic and noise.kind == "minibatch":
+        raise ConfigurationError("minibatch noise requires a classification task")
 
     track = lyapunov_kappa is not None
     if track:
-        if not inst.noise.deterministic:
+        if not noise.deterministic:
             raise ConfigurationError(
                 "lyapunov tracking requires a deterministic run (sigma = 0): "
                 "the descent bound is an expectation, not a pathwise quantity"
@@ -384,19 +430,30 @@ def run(
         rhs = np.full(max(T - 1, 0), np.nan)
         flagged: list = []
 
-    streams = {i: RngStream(config.seed, i, "noise") for i in range(n)}
+    crafted = bool(byz) and attack.kind == "alie"
+    streams = {}
+    if not (quadratic and noise.deterministic):
+        # every worker but ALIE's slots draws its own gradients
+        streams = {w: RngStream(config.seed, w, "noise")
+                   for w in (honest if crafted else range(n))}
     poisoned = (
         _poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else None
     )
+    needs_x = not quadratic or crafted or agg.honest_aware
+    x_star = inst.analytic.x_star
+
+    def grad_f_H(x, G):
+        return _row_mean(G[honest]) if quadratic else inst.grad_f_H(DenseVector(x)).values
+
     x = config.x0.values.copy()
     m = np.zeros((n, d))
 
     f_star = None
-    if inst.analytic.x_star is not None:
-        f_star = inst.f_H(inst.analytic.x_star)
+    if x_star is not None:
+        f_star = inst.f_H(x_star)
     ref = inst.analytic.x_F_star
     if ref is None:
-        ref = inst.analytic.x_star
+        ref = x_star
 
     t_arr = np.arange(1, T + 1)
     grad_ns = np.empty(T)
@@ -407,102 +464,121 @@ def run(
     lyap_col = np.full(T, np.nan)
     xs = np.empty((T + 1, d))
     xs[0] = x
+    # the columns a step must leave finite; the others stay NaN
+    checked = [(name, col) for name, col, defined in (
+        ("grad_norm_sq", grad_ns, True),
+        ("f_gap", f_gap, f_star is not None),
+        ("dist_to_ref", dist, ref is not None),
+        ("lyapunov", lyap_col, track),
+    ) if defined]
 
-    for t in range(1, T + 1):
-        gamma, beta = schedules(t, sched, T, L=L)
-        X = DenseVector(x)
-        if track:
-            centered = m[honest] - m[honest].mean(axis=0)
-            disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
+    G = inst.grads(x) if quadratic else None  # exact gradients at x^{t-1}
+    if track:
+        gH = grad_f_H(x, G)
+        gap = inst.f_H(x) - f_star
 
-        for i in honest:
-            g = stochastic_gradient(inst, i, X, streams[i])
-            m[i] = beta * m[i] + (1.0 - beta) * g.values
+    t = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, T + 1):
+                gamma, beta = schedules(t, sched, T, L=L)
+                X = context = None
+                if needs_x:
+                    X = DenseVector(x)
+                    context = OracleContext(x=X, x_star=x_star, instance=inst)
+                if track:
+                    centered = m[honest] - m[honest].mean(axis=0)
+                    disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
 
-        updates = [None] * n
-        for i in honest:
-            updates[i] = DenseVector(m[i])
+                if not quadratic:
+                    g = np.empty((n, d))
+                    for i in honest:
+                        g[i] = stochastic_gradient(inst, i, X, streams[i]).values
+                    src = poisoned if poisoned is not None else inst
+                    for j in () if crafted else byz:
+                        g[j] = _byzantine_honest_style(src, j, x, streams[j])
+                elif streams:
+                    k = (t - 1) % _NOISE_BLOCK
+                    if k == 0:
+                        block = _noise_block(
+                            noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d
+                        )
+                    g = G + block[k]
+                else:
+                    g = G
+                if crafted:
+                    m[honest] = beta * m[honest] + (1.0 - beta) * g[honest]
+                else:
+                    m = beta * m + (1.0 - beta) * g
 
-        agg_out = None
-        if byz:
-            if attack.kind == "alie":
-                view = AdversaryView(
-                    honest_updates=[updates[i] for i in honest],
-                    honest_ids=honest,
-                    aggregator=agg,
-                    x=X,
-                    n=n,
-                    context=OracleContext(
-                        x=X, x_star=inst.analytic.x_star, instance=inst
-                    ),
-                )
-                crafted = alie(view, attack.candidate_alphas)
-                for j in byz:
-                    updates[j] = crafted
-                # alie's probe already aggregated exactly this input
-                agg_out = view.server_output
-            else:
-                for j in byz:
-                    src = poisoned if attack.kind == "label_flip" else inst
-                    g = _byzantine_honest_style(src, j, X, streams[j])
-                    m[j] = beta * m[j] + (1.0 - beta) * g.values
-                    if attack.kind == "sign_flip":
-                        updates[j] = sign_flip(DenseVector(m[j]))
-                    else:
-                        updates[j] = DenseVector(m[j])
+                U = m
+                agg_out = None
+                if crafted:
+                    view = AdversaryView(
+                        honest_updates=m[honest], honest_ids=honest, aggregator=agg,
+                        x=X, n=n, context=context,
+                    )
+                    U = m.copy()
+                    U[byz] = alie(view, attack.candidate_alphas)
+                    # alie's probe already aggregated exactly this input
+                    agg_out = view.server_output
+                elif byz and attack.kind == "sign_flip":
+                    U = m.copy()
+                    U[byz] = sign_flip(m[byz])
 
-        if track:
-            mH_bar = m[honest].mean(axis=0)
-            gH = inst.grad_f_H(X).values
-            delta_t = mH_bar - gH
-            delta_sq = float(np.dot(delta_t, delta_t))
-            gap_prev = inst.f_H(X) - f_star
-            V_t = 2.0 * gap_prev + c1 * delta_sq + c2 * disp_prev
-            V[t - 1] = V_t
-            lyap_col[t - 1] = V_t
-            if t >= 2 and V_t > rhs[t - 2]:
-                flagged.append(t - 1)
-            if t <= T - 1:
-                G_, B_ = inst.analytic.G, inst.analytic.B
-                gnorm = float(np.dot(gH, gH))
-                sigma = inst.noise.sigma
-                rhs[t - 1] = (
-                    gamma * (-3.0 / 8.0 + 21.0 * lyapunov_kappa * B_ * B_) * gnorm
-                    + 2.0 * gap_prev
-                    + (1.0 - gamma * L) * (c1 * delta_sq + c2 * disp_prev)
-                    + gamma * gamma
-                    * (162.0 * L / pop.h + 756.0 * lyapunov_kappa * L)
-                    * sigma * sigma
-                    + 21.0 * gamma * lyapunov_kappa * G_ * G_
-                )
+                if track:
+                    delta_t = m[honest].mean(axis=0) - gH
+                    delta_sq = float(np.dot(delta_t, delta_t))
+                    V_t = 2.0 * gap + c1 * delta_sq + c2 * disp_prev
+                    V[t - 1] = V_t
+                    lyap_col[t - 1] = V_t
+                    if t >= 2 and V_t > rhs[t - 2]:
+                        flagged.append(t - 1)
+                    if t <= T - 1:
+                        G_, B_ = inst.analytic.G, inst.analytic.B
+                        gnorm = float(np.dot(gH, gH))
+                        sigma = noise.sigma
+                        rhs[t - 1] = (
+                            gamma * (-3.0 / 8.0 + 21.0 * lyapunov_kappa * B_ * B_) * gnorm
+                            + 2.0 * gap
+                            + (1.0 - gamma * L) * (c1 * delta_sq + c2 * disp_prev)
+                            + gamma * gamma
+                            * (162.0 * L / pop.h + 756.0 * lyapunov_kappa * L)
+                            * sigma * sigma
+                            + 21.0 * gamma * lyapunov_kappa * G_ * G_
+                        )
 
-        if _force_honest_mean:
-            agg_out = m[honest].mean(axis=0)
-        elif agg_out is None:
-            context = OracleContext(x=X, x_star=inst.analytic.x_star, instance=inst)
-            agg_out = aggregate(
-                agg,
-                updates,
-                honest_ids=honest if agg.honest_aware else None,
-                context=context,
-            ).values
-        if not np.all(np.isfinite(agg_out)):
-            raise NumericFailure(f"non-finite aggregate at iteration {t}")
+                if _force_honest_mean:
+                    agg_out = m[honest].mean(axis=0)
+                elif agg_out is None:
+                    agg_out = aggregate(
+                        agg, U,
+                        honest_ids=honest if agg.honest_aware else None,
+                        context=context,
+                    )
 
-        x = x - gamma * agg_out
-        if not np.all(np.isfinite(x)):
-            raise NumericFailure(f"non-finite iterate at iteration {t}")
-        xs[t] = x
+                x = x - gamma * agg_out
+                xs[t] = x
+                if quadratic:
+                    G = inst.grads(x)
+                gH = grad_f_H(x, G)
+                grad_ns[t - 1] = float(np.dot(gH, gH))
+                if f_star is not None:
+                    gap = inst.f_H(x) - f_star
+                    f_gap[t - 1] = gap
+                if ref is not None:
+                    r = x - ref.values
+                    dist[t - 1] = math.sqrt(float(np.dot(r, r)))
+                gammas[t - 1] = gamma
+                betas[t - 1] = beta
 
-        Xn = DenseVector(x)
-        gH_new = inst.grad_f_H(Xn).values
-        grad_ns[t - 1] = float(np.dot(gH_new, gH_new))
-        if f_star is not None:
-            f_gap[t - 1] = inst.f_H(Xn) - f_star
-        if ref is not None:
-            dist[t - 1] = float(np.linalg.norm(x - ref.values))
-        gammas[t - 1] = gamma
-        betas[t - 1] = beta
+                if not np.isfinite(x).all():
+                    raise NumericFailure("non-finite iterate")
+                for name, col in checked:
+                    if not math.isfinite(col[t - 1]):
+                        raise NumericFailure(f"non-finite {name}")
+    except NumericFailure as exc:
+        raise NumericFailure(f"{exc} at iteration {t}") from None
 
     record = RunRecord(
         t=t_arr, grad_norm_sq=grad_ns, f_gap=f_gap, dist_to_ref=dist,

@@ -258,3 +258,36 @@ class TestAlie:
                              x=DenseVector([0.0]), n=2)
         with pytest.raises(ConfigurationError, match="at least one honest"):
             alie(view)
+
+
+class TestArrayInputs:
+    """The training loop hands attacks (h, d) arrays; they answer with
+    arrays, bitwise what the DenseVector path returns."""
+
+    @pytest.mark.parametrize("rows", [[[1.0, -2.0], [0.5, 3.0], [2.0, 0.0]],
+                                      [[1.5, -2.0], [1.5, -2.0]]])
+    def test_alie_on_an_array_matches_the_dense_vector_path(self, rows):
+        for spec in _alie_specs(5, 2):
+            ctx = OracleContext(x=DenseVector([1.0, 1.0]), x_star=DenseVector([0.0, 0.0]))
+            listed = _view(rows, n=5, rule_spec=spec, context=ctx)
+            want = alie(listed).values
+            stacked = _view(rows, n=5, rule_spec=spec, context=ctx)
+            stacked.honest_updates = np.array(rows)
+            got = alie(stacked)
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+            if listed.server_output is None:
+                assert stacked.server_output is None
+            else:
+                assert stacked.server_output.tobytes() == listed.server_output.tobytes()
+
+    def test_alie_needs_a_nonempty_array(self):
+        spec = AggregatorSpec(rule="average", n=2, b=0)
+        view = AdversaryView(honest_updates=np.empty((0, 1)), honest_ids=[],
+                             aggregator=spec, x=DenseVector([0.0]), n=2)
+        with pytest.raises(ConfigurationError, match="at least one honest"):
+            alie(view)
+
+    def test_sign_flip_negates_every_row(self):
+        rows = np.array([[1.0, -2.0], [0.0, 3.5]])
+        out = sign_flip(rows)
+        assert isinstance(out, np.ndarray) and np.array_equal(out, -rows)

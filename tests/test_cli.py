@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +369,65 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kappa_hat"] == 0.0
+
+
+# ---- divergence and overflow -------------------------------------------------
+
+DIVERGING_RUN = """\
+problem.kind = random_quadratic
+problem.n = 6
+problem.d = 2
+schedule.gamma0 = 5
+run.T = 200
+"""
+
+HUGE_B_RUN = """\
+problem.kind = hetero
+problem.B = 1e300
+aggregator.rule = oracle_adversarial
+aggregator.kappa = 0.1
+aggregator.variant = hetero_c1
+"""
+
+
+class TestDivergence:
+    def test_diverged_run_exits_numeric_and_names_where(self, tmp_path, capsys):
+        # the iterate stays finite while its metrics overflow; that still
+        # counts as divergence, reported at the first bad iteration
+        cfg = _write(tmp_path / "c.cfg", DIVERGING_RUN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"non-finite (grad_norm_sq|f_gap) at iteration \d+", err), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_diverged_sweep_cell_is_marked_failed(self, tmp_path, capsys):
+        text = DIVERGING_RUN + "sweep.gamma0 = 0.1,5\n"
+        sweepfile = _write(tmp_path / "s.cfg", text)
+        out = tmp_path / "out"
+        assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_OK
+        with open(out / "cells.csv", newline="") as fh:
+            cells = {float(c["gamma0"]): c for c in csv.DictReader(fh)}
+        assert cells[0.1]["status"] == "ok"
+        assert cells[5.0]["status"] == "failed"
+        assert "NumericFailure" in cells[5.0]["error"]
+        with open(out / "best.csv", newline="") as fh:
+            assert [float(r["gamma0"]) for r in csv.DictReader(fh)] == [0.1]
+
+    def test_huge_finite_B_does_not_overflow_the_loader(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.cfg", HUGE_B_RUN)
+        assert load_run_config(cfg).config.problem.analytic.B == 1e300
+        rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        assert "at iteration" in capsys.readouterr().err
+
+    def test_huge_finite_B_warns_with_tied_momentum(self, tmp_path):
+        cfg = _write(tmp_path / "c.cfg", HUGE_B_RUN
+                     + "schedule.momentum = tied\nschedule.gamma0 = 1e-303\n")
+        loaded = load_run_config(cfg)
+        assert any("kappa*B^2 = inf" in w for w in loaded.warnings)
 
 
 # ---- schema documentation ----------------------------------------------------

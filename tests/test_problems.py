@@ -284,3 +284,43 @@ class TestClassificationTask:
         for w in range(4):
             assert np.array_equal(a.task.features[w], b.task.features[w])
             assert np.array_equal(a.task.labels[w], b.task.labels[w])
+
+
+# ---- the stacked gradient oracle ---------------------------------------------
+
+
+class TestGrads:
+    @pytest.mark.parametrize("b", [0, 2])
+    def test_quadratic_rows_equal_local_gradients_bitwise(self, b):
+        inst = build_random_quadratic_family(n=6, d=4, rng=RngStream(5, 0, "g"), b=b)
+        x = np.array([0.3, -1.7, 2.0, 1e-3])
+        G = inst.grads(x)
+        assert G.shape == (6, 4)
+        for i in range(6):
+            assert G[i].tobytes() == inst.local_grad(i, DenseVector(x)).values.tobytes()
+
+    def test_classification_rows_equal_local_gradients_bitwise(self):
+        inst = build_classification_task(n_workers=4, b=1, n_classes=3, dim=2,
+                                         samples_per_class=8)
+        x = np.linspace(-1.0, 1.0, inst.dim)
+        G = inst.grads(x)
+        assert G.shape == (4, inst.dim)
+        for i in range(4):
+            assert G[i].tobytes() == inst.local_grad(i, DenseVector(x)).values.tobytes()
+
+    @given(st.integers(1, 12), st.integers(0, 5), st.integers(1, 12), st.integers(0, 99))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_f_H_sums_per_worker_values_in_order(self, n, b, d, seed):
+        # the training loop's f_gap column depends on this exact order:
+        # one np.dot per worker, summed in honest order, then divided
+        b = min(b, (n - 1) // 2)
+        inst = build_random_quadratic_family(n=n, d=d, rng=RngStream(seed, 0, "f"), b=b)
+        x = np.random.default_rng(seed).normal(size=d)
+        ids = inst.pop.honest_sorted()
+        want = sum(inst.local_value(i, DenseVector(x)) for i in ids) / len(ids)
+        assert inst.f_H(x) == want
+
+    def test_f_H_takes_an_array_or_a_dense_vector(self):
+        inst = build_synthetic_family(n=9, k=3, a=1.0, G=1.0, B=0.5, d=3)
+        x = np.array([0.5, -0.25, 2.0])
+        assert inst.f_H(x) == inst.f_H(DenseVector(x))
