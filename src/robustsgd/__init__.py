@@ -55,6 +55,7 @@ from .trainer import (
     LyapunovTrace,
     RunRecord,
     ScheduleSpec,
+    lyapunov_trace,
     measure_floor,
     pl_schedule_for_momentum,
     pl_schedule_for_plain,
@@ -88,7 +89,7 @@ __all__ = [
     "build_synthetic_family", "certify_dissimilarity",
     "sample_check_dissimilarity", "with_noise",
     "SweepResult", "SweepSpec", "load_sweep", "run_sweep",
-    "LyapunovTrace", "RunRecord", "ScheduleSpec", "measure_floor",
+    "LyapunovTrace", "RunRecord", "ScheduleSpec", "lyapunov_trace", "measure_floor",
     "pl_schedule_for_momentum", "pl_schedule_for_plain", "run",
     "run_honest_baseline", "run_noise_floor_replicates", "schedules",
     "track_lyapunov",

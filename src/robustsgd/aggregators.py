@@ -372,15 +372,12 @@ def aggregate(
 # empirical robustness estimation
 
 
-def _ratio(spec, mat, honest, context) -> float:
-    updates = [DenseVector(row) for row in mat]
-    if spec.honest_aware:
-        out = oracle_adversarial(updates, honest, spec.kappa, spec.variant, context)
-    else:
-        out = aggregate(spec, updates)
+def _ratio(out: np.ndarray, mat: np.ndarray, honest) -> float:
+    """||out - mean_H||^2 / dispersion_H; inf for a zero-dispersion input
+    with a nonzero numerator."""
     mean, disp = _honest_stats(mat, honest)
     disp = float(disp)
-    dev = out.values - mean
+    dev = out - mean
     num = float(np.dot(dev, dev))
     if disp == 0.0:
         return math.inf if num > 1e-24 else 0.0
@@ -454,8 +451,12 @@ def estimate_kappa(
             subsets = all_subsets
         else:
             subsets = [sorted(gen.choice(n, size=h, replace=False).tolist()) for _ in range(32)]
+        if not spec.honest_aware:
+            out = aggregate(spec, mat)  # honest-set blind: one output per sample
         for honest in subsets:
-            r = _ratio(spec, mat, honest, context)
+            if spec.honest_aware:
+                out = aggregate(spec, mat, honest_ids=honest, context=context)
+            r = _ratio(out, mat, honest)
             if math.isinf(r):
                 violation = True
             if r > best or worst is None:

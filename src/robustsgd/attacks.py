@@ -32,10 +32,6 @@ class AttackSpec:
         if self.kind == "alie" and not self.candidate_alphas:
             raise ConfigurationError("alie needs a nonempty candidate set")
 
-    @property
-    def omniscient(self) -> bool:
-        return self.kind == "alie"
-
 
 @dataclass
 class AdversaryView:

@@ -5,7 +5,8 @@ lands under a run directory together with the resolved configuration, so a
 directory is a self-describing record of what was executed.
 
 Exit codes: 0 success, 2 configuration error, 3 verification/certification
-failure, 4 numeric failure (NaN or overflow mid-run).
+failure, 4 numeric failure (NaN or overflow mid-run) or a violated internal
+contract (ContractViolation).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .aggregators import RULES, AggregatorSpec, estimate_kappa
 from .configfile import load_run_config, render_config
 from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RngStream
 from .problems import certify_dissimilarity
-from .sweep import WORKERS_ENV, load_sweep, run_sweep
+from .sweep import load_sweep, run_sweep
 from .trainer import run
 from .verify import SUITES, run_verification
 
@@ -54,6 +55,11 @@ def _json_safe(obj):
 
 def cmd_run(args) -> int:
     loaded = load_run_config(args.config)
+    if loaded.config.replicates != 1:
+        raise ConfigurationError(
+            "config key 'run.replicates': robustsgd run executes one replicate; "
+            "replicates are averaged by sweeps only"
+        )
     out = _ensure_dir(args.out or _default_out("run"))
     for w in loaded.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -77,7 +83,7 @@ def cmd_sweep(args) -> int:
     spec = load_sweep(args.sweepfile)
     out = _ensure_dir(args.out or _default_out("sweep"))
     (out / "resolved_sweep.cfg").write_text(render_config(spec.base_kv, sweep=True))
-    result = run_sweep(spec, max_workers=args.workers)
+    result = run_sweep(spec)
     result.cells_csv(out / "cells.csv")
     result.best_csv(out / "best.csv")
     failed = [c for c in result.cells if c.status == "failed"]
@@ -135,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a grid sweep from a sweep file")
     p.add_argument("sweepfile", help="config file with sweep.* grid keys")
     p.add_argument("--out", default=None, help="sweep directory (default runs/sweep-<stamp>)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker-pool size (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1, choices=(1,),
+                   help="accepted for compatibility; cells run one after another")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the self-verification battery")

@@ -43,7 +43,7 @@ _REGISTRY = {
     "problem.k": ("int", "7", "paired-worker count of the synthetic family"),
     "problem.a": ("float", "1.0", "base curvature of the synthetic family"),
     "problem.b": ("int", "0", "Byzantine worker count (random_quadratic/classification)"),
-    "problem.noise": ("optstr", None, "noise override: none | gaussian | bernoulli_pm"),
+    "problem.noise": ("optstr", None, "noise override: none | gaussian | bernoulli_pm (not classification)"),
     "problem.shared_curvature": ("bool", "false", "random_quadratic: honest locals share curvature"),
     "problem.n_classes": ("int", "10", "classification: class count"),
     "problem.dim": ("int", "8", "classification: feature dimension"),
@@ -71,7 +71,7 @@ _REGISTRY = {
     "run.T": ("int", "100", "iteration count"),
     "run.x0": ("floatlist", "1.0", "initial point: scalar broadcast or comma list"),
     "run.seed": ("int", "0", "master seed"),
-    "run.replicates": ("int", "1", "replicate count"),
+    "run.replicates": ("int", "1", "replicate count averaged per sweep cell (run: 1 only)"),
 }
 
 # sweep files add these on top of a full base config
@@ -197,6 +197,11 @@ def _build_problem(kv: dict):
             b=kv["problem.b"], shared_curvature=kv["problem.shared_curvature"],
         )
     elif kind == "classification":
+        if kv["problem.noise"] is not None:
+            raise ConfigurationError(
+                "config key 'problem.noise': a classification task's noise is its "
+                "minibatch draw (problem.minibatch); leave problem.noise unset"
+            )
         n = kv["problem.n"] if kv["problem.n"] is not None else 8
         return build_classification_task(
             n_workers=n, b=kv["problem.b"], n_classes=kv["problem.n_classes"],

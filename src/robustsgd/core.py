@@ -99,17 +99,6 @@ class DenseVector:
         return f"DenseVector({self._values.tolist()})"
 
 
-def dot(a: DenseVector, b: DenseVector) -> float:
-    a._check_dim(b)
-    return float(np.dot(a.values, b.values))
-
-
-def norm_sq(a: DenseVector) -> float:
-    """Squared Euclidean norm, sum of squared entries."""
-    v = a.values
-    return float(np.dot(v, v))
-
-
 def as_matrix(updates: Sequence[DenseVector]) -> np.ndarray:
     """Stack vectors into an (n, d) float64 matrix (internal plumbing)."""
     if not updates:
@@ -160,21 +149,6 @@ class WorkerPopulation:
 
     def honest_sorted(self) -> list:
         return sorted(self.honest_ids)
-
-
-def honest_mean(updates: Sequence[DenseVector], pop: WorkerPopulation) -> DenseVector:
-    """(1/h) * sum of updates over the honest index set.
-
-    Permutation-invariant over the honest set and independent of what the
-    Byzantine slots contain.
-    """
-    if len(updates) != pop.n:
-        raise ConfigurationError(
-            f"expected {pop.n} updates, got {len(updates)}"
-        )
-    mat = as_matrix(updates)
-    idx = pop.honest_sorted()
-    return DenseVector(mat[idx].mean(axis=0))
 
 
 class RngStream:

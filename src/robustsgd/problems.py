@@ -210,12 +210,6 @@ class ProblemInstance:
             return DenseVector(g)
         return DenseVector(self.locals[worker].grad(x.values))
 
-    def local_value(self, worker: int, x: DenseVector) -> float:
-        if self.task is not None:
-            v, _ = self.task.loss_grad(worker, x.values)
-            return v
-        return self.locals[worker].value(x.values)
-
     def f_H(self, x: Union[DenseVector, np.ndarray]) -> float:
         """Honest average objective at x, a DenseVector or a (d,) array:
         the per-worker values summed in honest order, then divided."""

@@ -3,17 +3,16 @@
 A sweep file is an ordinary run config plus sweep.* keys declaring grids
 over gamma0, momentum, T, B^2 and kappa. Cells are enumerated in canonical
 axis order (kappa, B_sq, gamma0, momentum, T — each grid in file order) and
-each cell derives its seed from (master seed, cell index), so results do not
-depend on execution order or worker-pool size. A failed cell is recorded and
-the sweep continues.
+each cell derives its seed from (master seed, cell index), so a cell's
+result does not depend on which cells ran before it. Cells run one after
+another in canonical order. A failed cell is recorded and the sweep
+continues.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
 
@@ -25,7 +24,6 @@ from .trainer import run
 
 AXES = ("kappa", "B_sq", "gamma0", "momentum", "T")
 METRICS = ("floor_estimate", "final_f_gap")
-WORKERS_ENV = "ROBUSTSGD_WORKERS"
 
 
 def _parse_momentum_token(tok: str):
@@ -260,20 +258,7 @@ def run_cell(spec: SweepSpec, index: int, params: dict) -> SweepCell:
     return cell
 
 
-def run_sweep(spec: SweepSpec, max_workers: Optional[int] = None) -> SweepResult:
-    """Execute every cell (in a bounded thread pool) and collect results in
-    canonical order. Pool size: `max_workers`, else the ROBUSTSGD_WORKERS
-    environment variable, else 1."""
-    if max_workers is None:
-        max_workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if max_workers < 1:
-        raise ConfigurationError("worker pool size must be >= 1")
-    jobs = list(spec.cell_params())
-    if max_workers == 1:
-        cells = [run_cell(spec, i, p) for i, p in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_cell, spec, i, p) for i, p in jobs]
-            cells = [f.result() for f in futures]
-    cells.sort(key=lambda c: c.index)
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Execute every cell in canonical order."""
+    cells = [run_cell(spec, i, p) for i, p in spec.cell_params()]
     return SweepResult(spec=spec, cells=cells)

@@ -1,5 +1,5 @@
 """The distributed training loop with local momentum, schedules, metrics,
-and the Lyapunov descent tracker.
+and the Lyapunov descent tracker, a pass over a finished run's record.
 
 One iteration: broadcast x^{t-1}; every honest worker draws a stochastic
 gradient and updates its momentum m_i^t = beta_t m_i^{t-1} + (1-beta_t) g_i^t
@@ -199,8 +199,8 @@ class LyapunovTrace:
 class RunRecord:
     """Per-iteration trace plus run summary. Row t (1-based) carries the
     metrics of the post-step iterate x^t; `xs` stores the full iterate
-    history x^0..x^T. The lyapunov column is NaN unless tracking was on
-    (the value in row t is V^t, which by definition reads x^{t-1})."""
+    history x^0..x^T. The lyapunov column is NaN unless track_lyapunov
+    filled it (the value in row t is V^t, which by definition reads x^{t-1})."""
 
     t: np.ndarray
     grad_norm_sq: np.ndarray
@@ -354,18 +354,15 @@ def _noise_block(noise, streams: dict, steps: int, n: int, d: int) -> np.ndarray
 
 
 def _row_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean of the rows, summed in row order from zero and then divided, as
+    """Mean of the rows of a (k, d) array, or of each (k, d) slice of a
+    stack, summed in row order from zero and then divided, as
     ProblemInstance.grad_f_H does. cumsum adds strictly in order where sum
     may pair terms; adding 0.0 turns an all-(-0.0) sum into the +0.0 that a
     zero start gives."""
-    return (np.cumsum(rows, axis=0)[-1] + 0.0) / rows.shape[0]
+    return (np.cumsum(rows, axis=-2)[..., -1, :] + 0.0) / rows.shape[-2]
 
 
-def run(
-    config: RunConfig,
-    lyapunov_kappa: Optional[float] = None,
-    _force_honest_mean: bool = False,
-) -> RunRecord:
+def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
     The loop keeps every worker's momentum as the rows of one (n, d)
@@ -387,12 +384,8 @@ def run(
       alie        every Byzantine slot submits the common crafted vector
 
     Every step checks the new iterate and its metrics; the first non-finite
-    value raises NumericFailure naming the iteration and the column.
-
-    With lyapunov_kappa set, the run must be deterministic (sigma = 0) and
-    use tied momentum with c_beta = 36; the record then carries V^t and a
-    LyapunovTrace holding the per-transition descent bound and any steps
-    that exceeded it. V^t reuses the metrics of x^{t-1}.
+    value raises NumericFailure naming the iteration and the column. The
+    lyapunov column stays NaN; track_lyapunov fills it from the record.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -409,27 +402,6 @@ def run(
     if quadratic and noise.kind == "minibatch":
         raise ConfigurationError("minibatch noise requires a classification task")
 
-    track = lyapunov_kappa is not None
-    if track:
-        if not noise.deterministic:
-            raise ConfigurationError(
-                "lyapunov tracking requires a deterministic run (sigma = 0): "
-                "the descent bound is an expectation, not a pathwise quantity"
-            )
-        if sched.momentum != "tied" or sched.c_beta != 36.0:
-            raise ConfigurationError(
-                "lyapunov tracking requires tied momentum with c_beta = 36"
-            )
-        if inst.analytic.G is None or inst.analytic.B is None:
-            raise ConfigurationError("lyapunov tracking needs declared (G, B)")
-        if inst.analytic.x_star is None:
-            raise ConfigurationError("lyapunov tracking needs a known minimizer")
-        c1 = 1.0 / (8.0 * L)
-        c2 = lyapunov_kappa / (2.0 * L)
-        V = np.full(T, np.nan)
-        rhs = np.full(max(T - 1, 0), np.nan)
-        flagged: list = []
-
     crafted = bool(byz) and attack.kind == "alie"
     streams = {}
     if not (quadratic and noise.deterministic):
@@ -441,9 +413,6 @@ def run(
     )
     needs_x = not quadratic or crafted or agg.honest_aware
     x_star = inst.analytic.x_star
-
-    def grad_f_H(x, G):
-        return _row_mean(G[honest]) if quadratic else inst.grad_f_H(DenseVector(x)).values
 
     x = config.x0.values.copy()
     m = np.zeros((n, d))
@@ -461,7 +430,6 @@ def run(
     dist = np.full(T, np.nan)
     gammas = np.empty(T)
     betas = np.empty(T)
-    lyap_col = np.full(T, np.nan)
     xs = np.empty((T + 1, d))
     xs[0] = x
     # the columns a step must leave finite; the others stay NaN
@@ -469,13 +437,9 @@ def run(
         ("grad_norm_sq", grad_ns, True),
         ("f_gap", f_gap, f_star is not None),
         ("dist_to_ref", dist, ref is not None),
-        ("lyapunov", lyap_col, track),
     ) if defined]
 
     G = inst.grads(x) if quadratic else None  # exact gradients at x^{t-1}
-    if track:
-        gH = grad_f_H(x, G)
-        gap = inst.f_H(x) - f_star
 
     t = 0
     try:
@@ -486,9 +450,6 @@ def run(
                 if needs_x:
                     X = DenseVector(x)
                     context = OracleContext(x=X, x_star=x_star, instance=inst)
-                if track:
-                    centered = m[honest] - m[honest].mean(axis=0)
-                    disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
 
                 if not quadratic:
                     g = np.empty((n, d))
@@ -526,28 +487,6 @@ def run(
                     U = m.copy()
                     U[byz] = sign_flip(m[byz])
 
-                if track:
-                    delta_t = m[honest].mean(axis=0) - gH
-                    delta_sq = float(np.dot(delta_t, delta_t))
-                    V_t = 2.0 * gap + c1 * delta_sq + c2 * disp_prev
-                    V[t - 1] = V_t
-                    lyap_col[t - 1] = V_t
-                    if t >= 2 and V_t > rhs[t - 2]:
-                        flagged.append(t - 1)
-                    if t <= T - 1:
-                        G_, B_ = inst.analytic.G, inst.analytic.B
-                        gnorm = float(np.dot(gH, gH))
-                        sigma = noise.sigma
-                        rhs[t - 1] = (
-                            gamma * (-3.0 / 8.0 + 21.0 * lyapunov_kappa * B_ * B_) * gnorm
-                            + 2.0 * gap
-                            + (1.0 - gamma * L) * (c1 * delta_sq + c2 * disp_prev)
-                            + gamma * gamma
-                            * (162.0 * L / pop.h + 756.0 * lyapunov_kappa * L)
-                            * sigma * sigma
-                            + 21.0 * gamma * lyapunov_kappa * G_ * G_
-                        )
-
                 if _force_honest_mean:
                     agg_out = m[honest].mean(axis=0)
                 elif agg_out is None:
@@ -561,11 +500,12 @@ def run(
                 xs[t] = x
                 if quadratic:
                     G = inst.grads(x)
-                gH = grad_f_H(x, G)
+                    gH = _row_mean(G[honest])
+                else:
+                    gH = inst.grad_f_H(DenseVector(x)).values
                 grad_ns[t - 1] = float(np.dot(gH, gH))
                 if f_star is not None:
-                    gap = inst.f_H(x) - f_star
-                    f_gap[t - 1] = gap
+                    f_gap[t - 1] = inst.f_H(x) - f_star
                 if ref is not None:
                     r = x - ref.values
                     dist[t - 1] = math.sqrt(float(np.dot(r, r)))
@@ -580,15 +520,10 @@ def run(
     except NumericFailure as exc:
         raise NumericFailure(f"{exc} at iteration {t}") from None
 
-    record = RunRecord(
+    return RunRecord(
         t=t_arr, grad_norm_sq=grad_ns, f_gap=f_gap, dist_to_ref=dist,
-        lyapunov=lyap_col, gamma=gammas, beta=betas, xs=xs,
+        lyapunov=np.full(T, np.nan), gamma=gammas, beta=betas, xs=xs,
     )
-    if track:
-        record.lyapunov_trace = LyapunovTrace(
-            V=V, rhs=rhs, flagged=flagged, c1=c1, c2=c2
-        )
-    return record
 
 
 def run_honest_baseline(config: RunConfig) -> RunRecord:
@@ -597,16 +532,106 @@ def run_honest_baseline(config: RunConfig) -> RunRecord:
     return run(config, _force_honest_mean=True)
 
 
+# ---------------------------------------------------------------------------
+# the Lyapunov descent tracker: a pass over a finished run
+
+
+def _check_trackable(config: RunConfig) -> None:
+    inst: ProblemInstance = config.problem
+    sched: ScheduleSpec = config.schedule
+    if not inst.noise.deterministic:
+        raise ConfigurationError(
+            "lyapunov tracking requires a deterministic run (sigma = 0): "
+            "the descent bound is an expectation, not a pathwise quantity"
+        )
+    if sched.momentum != "tied" or sched.c_beta != 36.0:
+        raise ConfigurationError(
+            "lyapunov tracking requires tied momentum with c_beta = 36"
+        )
+    if inst.analytic.G is None or inst.analytic.B is None:
+        raise ConfigurationError("lyapunov tracking needs declared (G, B)")
+    if inst.analytic.x_star is None:
+        raise ConfigurationError("lyapunov tracking needs a known minimizer")
+    if not inst.is_quadratic:
+        raise ConfigurationError("lyapunov tracking needs a quadratic objective")
+
+
+def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> LyapunovTrace:
+    """V^t and the per-transition descent bound of a finished run.
+
+        V^t = 2 (f_H(x^{t-1}) - f*) + c1 ||mean_H m^t - grad f_H(x^{t-1})||^2
+              + c2 Gamma_H^{t-1},   c1 = 1/(8L),  c2 = kappa/(2L),
+
+    with Gamma_H^{t-1} the honest momenta's dispersion. rhs[t-1] bounds
+    V^{t+1}; a step whose V^{t+1} exceeds it is flagged. The run must be
+    deterministic (sigma = 0) on a quadratic with tied momentum, c_beta =
+    36: the honest momenta then replay exactly from record.xs and
+    record.beta, and the gap and ||grad f_H||^2 at x^{t-1} are the record's
+    own columns. The first non-finite V^t raises NumericFailure.
+    """
+    _check_trackable(config)
+    inst: ProblemInstance = config.problem
+    L, G, B = inst.analytic.L, inst.analytic.G, inst.analytic.B
+    sigma = inst.noise.sigma
+    honest = inst.pop.honest_sorted()
+    T = record.T
+    c1 = 1.0 / (8.0 * L)
+    c2 = kappa / (2.0 * L)
+
+    # row t-1 of each: honest grad f_i(x^{t-1}), grad f_H(x^{t-1}), its squared
+    # norm and f_H(x^{t-1}) - f*, the last two from the record for t >= 2
+    A, C = inst._coefficients
+    grads = (A * record.xs[:-1, None, :] + C)[:, honest]
+    gHs = _row_mean(grads)
+    gnorms = np.concatenate(([float(np.dot(gHs[0], gHs[0]))], record.grad_norm_sq[:-1]))
+    gaps = np.concatenate((
+        [inst.f_H(record.xs[0]) - inst.f_H(inst.analytic.x_star)], record.f_gap[:-1]))
+    m = np.zeros(grads.shape[1:])
+    V = np.empty(T)
+    rhs = np.empty(max(T - 1, 0))
+    flagged: list = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            gap = gaps[t - 1]
+            centered = m - m.mean(axis=0)
+            disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
+            beta = record.beta[t - 1]
+            m = beta * m + (1.0 - beta) * grads[t - 1]
+            delta = m.mean(axis=0) - gHs[t - 1]
+            delta_sq = float(np.dot(delta, delta))
+            V[t - 1] = 2.0 * gap + c1 * delta_sq + c2 * disp_prev
+            if not math.isfinite(V[t - 1]):
+                raise NumericFailure(f"non-finite lyapunov at iteration {t}")
+            if t >= 2 and V[t - 1] > rhs[t - 2]:
+                flagged.append(t - 1)
+            if t <= T - 1:
+                gamma = record.gamma[t - 1]
+                rhs[t - 1] = (
+                    gamma * (-3.0 / 8.0 + 21.0 * kappa * B * B) * gnorms[t - 1]
+                    + 2.0 * gap
+                    + (1.0 - gamma * L) * (c1 * delta_sq + c2 * disp_prev)
+                    + gamma * gamma
+                    * (162.0 * L / inst.pop.h + 756.0 * kappa * L)
+                    * sigma * sigma
+                    + 21.0 * gamma * kappa * G * G
+                )
+    return LyapunovTrace(V=V, rhs=rhs, flagged=flagged, c1=c1, c2=c2)
+
+
 def track_lyapunov(config: RunConfig, kappa: Optional[float] = None):
-    """Run deterministically and emit (record, LyapunovTrace). kappa
-    defaults to the aggregator's configured robustness coefficient."""
+    """Run deterministically and emit (record, LyapunovTrace), the record's
+    lyapunov column holding V^t. kappa defaults to the aggregator's
+    configured robustness coefficient."""
     if kappa is None:
         kappa = config.aggregator.kappa
     if kappa is None:
         raise ConfigurationError(
             "track_lyapunov needs kappa (explicit, or from an oracle aggregator)"
         )
-    record = run(config, lyapunov_kappa=kappa)
+    _check_trackable(config)
+    record = run(config)
+    record.lyapunov_trace = lyapunov_trace(config, record, kappa)
+    record.lyapunov[:] = record.lyapunov_trace.V
     return record, record.lyapunov_trace
 
 

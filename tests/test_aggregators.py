@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -417,7 +418,67 @@ class TestDispatchContract:
             AggregatorSpec(**kwargs)
 
 
+def _brute_force_kappa(spec, samples, rng, dim=2):
+    """estimate_kappa's sampling with the rule applied afresh to every
+    honest subset, through the DenseVector boundary: (kappa_hat,
+    worst_case_input, violation)."""
+    n, b = spec.n, spec.b
+    h = n - b
+    gen = rng.generator
+    all_subsets = None
+    if math.comb(n, h) <= 120:
+        all_subsets = [list(c) for c in itertools.combinations(range(n), h)]
+    best, worst, violation = 0.0, None, False
+    for s in range(samples):
+        scale = (0.1, 1.0, 10.0)[(s // 3) % 3]
+        mat = scale * gen.standard_normal((n, dim))
+        if s % 3 == 1 and b >= 1:
+            direction = gen.standard_normal(dim)
+            direction /= math.sqrt(float(np.dot(direction, direction)))
+            mat[n - b:] = (1.0, 1e3, 1e6)[(s // 9) % 3] * direction
+        elif s % 3 == 2:
+            mat = np.zeros((n, dim))
+            for i in range(n):
+                mat[i, i % dim] = scale * (1 + i)
+        context = None
+        if spec.honest_aware:
+            context = OracleContext(x=DenseVector(gen.standard_normal(dim)),
+                                    x_star=DenseVector(np.zeros(dim)))
+        subsets = all_subsets or [sorted(gen.choice(n, size=h, replace=False).tolist())
+                                  for _ in range(32)]
+        for honest in subsets:
+            rows = [DenseVector(r) for r in mat]
+            if spec.honest_aware:
+                out = oracle_adversarial(rows, honest, spec.kappa, spec.variant, context)
+            else:
+                out = aggregate(spec, rows)
+            hm = mat[honest]
+            mean = hm.mean(axis=0)
+            disp = float(((hm - mean) ** 2).sum(axis=1).mean())
+            dev = out.values - mean
+            num = float(np.dot(dev, dev))
+            r = (math.inf if num > 1e-24 else 0.0) if disp == 0.0 else num / disp
+            violation |= math.isinf(r)
+            if r > best or worst is None:
+                best, worst = r, {"inputs": mat.tolist(), "honest_ids": list(honest)}
+    return best, worst, violation
+
+
 class TestEstimateKappa:
+    @pytest.mark.parametrize("n,b", [(5, 2), (12, 5)])  # every subset; 32 drawn ones
+    @pytest.mark.parametrize("rule,extra", [
+        ("average", {}), ("krum", {}), ("multi_krum", {"q": 3}), ("cwm", {}),
+        ("cwtm", {"q": 2}), ("gm", {}),
+        ("oracle_adversarial", {"kappa": 0.3, "variant": "variance_sign"}),
+    ])
+    def test_matches_brute_force_per_subset(self, rule, extra, n, b):
+        spec = AggregatorSpec(rule=rule, n=n, b=b, **extra)
+        est = estimate_kappa(spec, samples=27, rng=RngStream(5, 0, "k"))
+        kappa_hat, worst, violation = _brute_force_kappa(spec, 27, RngStream(5, 0, "k"))
+        assert est.kappa_hat.hex() == kappa_hat.hex()
+        assert est.worst_case_input == worst
+        assert est.violation == violation
+
     def test_oracle_recovers_declared_kappa(self):
         spec = AggregatorSpec(rule="oracle_adversarial", n=5, b=0, kappa=0.4,
                               variant="variance_sign")

@@ -99,10 +99,6 @@ class TestAttackSpec:
         spec = AttackSpec(kind="sign_flip", byzantine_ids=[2, 4])
         assert spec.byzantine_ids == frozenset({2, 4})
 
-    def test_only_alie_is_omniscient(self):
-        assert AttackSpec(kind="alie").omniscient
-        assert not AttackSpec(kind="sign_flip").omniscient
-
 
 def _view(honest_rows, n, rule_spec, x=None, honest_ids=None, context=None):
     honest = [DenseVector(r) for r in honest_rows]

@@ -17,7 +17,14 @@ from robustsgd.configfile import (
     resolve,
 )
 from robustsgd.core import ConfigurationError
-from robustsgd.sweep import SweepCell, SweepResult, SweepSpec, cell_seed, load_sweep
+from robustsgd.sweep import (
+    SweepCell,
+    SweepResult,
+    SweepSpec,
+    cell_seed,
+    load_sweep,
+    run_cell,
+)
 
 
 def _write(path, text):
@@ -204,15 +211,22 @@ class TestSweepCommand:
             best = list(csv.DictReader(fh))
         assert len(best) == 4  # every (kappa, B_sq) group has one row
 
-    def test_worker_pool_size_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_a_cell_run_alone_equals_its_sweep_row(self, tmp_path):
         sweepfile = _write(tmp_path / "s.cfg", SWEEP)
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        monkeypatch.delenv("ROBUSTSGD_WORKERS", raising=False)
-        assert main(["sweep", sweepfile, "--out", str(out1), "--workers", "1"]) == EXIT_OK
-        monkeypatch.setenv("ROBUSTSGD_WORKERS", "3")
-        assert main(["sweep", sweepfile, "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "cells.csv").read_bytes() == (out2 / "cells.csv").read_bytes()
-        assert (out1 / "best.csv").read_bytes() == (out2 / "best.csv").read_bytes()
+        out = tmp_path / "out"
+        assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_OK
+        spec = load_sweep(sweepfile)
+        # each cell on its own, last first: no cell may lean on one run before it
+        cells = [run_cell(spec, i, p) for i, p in reversed(list(spec.cell_params()))]
+        SweepResult(spec=spec, cells=cells[::-1]).cells_csv(tmp_path / "alone.csv")
+        assert (tmp_path / "alone.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+    def test_workers_accepts_only_one(self, tmp_path):
+        sweepfile = _write(tmp_path / "s.cfg", SWEEP)
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad choice itself
+            main(["sweep", sweepfile, "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_failed_cells_do_not_poison_the_sweep(self, tmp_path, capsys):
         text = SWEEP.replace("sweep.kappa = 0.05,0.1", "sweep.kappa = 0.1,-1.0")
@@ -352,6 +366,19 @@ class TestExitCodes:
     def test_config_error_exit(self, tmp_path, capsys):
         cfg = _write(tmp_path / "c.cfg", "aggregator.b = 1\n")
         assert main(["run", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text,key", [
+        # a classification task's noise is its minibatch draw
+        ("problem.kind = classification\nproblem.noise = gaussian\n", "problem.noise"),
+        # only sweeps average replicates
+        ("run.T = 5\nrun.replicates = 3\n", "run.replicates"),
+    ])
+    def test_key_run_would_ignore_is_rejected(self, tmp_path, capsys, text, key):
+        cfg = _write(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_numeric_failure_exit(self, tmp_path, capsys):

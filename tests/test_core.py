@@ -11,9 +11,6 @@ from robustsgd.core import (
     RunConfig,
     WorkerPopulation,
     as_matrix,
-    dot,
-    honest_mean,
-    norm_sq,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -57,14 +54,9 @@ class TestDenseVector:
 
     @given(vec, finite)
     def test_scalar_mul_linear_in_norm(self, a, s):
-        scaled = norm_sq(a * s)
-        assert scaled == pytest.approx((s * s) * norm_sq(a), rel=1e-12, abs=1e-300)
-
-    @given(vec, vec)
-    def test_dot_symmetry(self, a, b):
-        if a.dim != b.dim:
-            return
-        assert dot(a, b) == dot(b, a)
+        scaled = (a * s).values
+        assert float(np.dot(scaled, scaled)) == pytest.approx(
+            (s * s) * float(np.dot(a.values, a.values)), rel=1e-12, abs=1e-300)
 
     def test_hash_consistent_with_eq(self):
         a = DenseVector([1.0, 2.0])
@@ -99,18 +91,6 @@ class TestWorkerPopulation:
 
 
 class TestHonestMean:
-    def test_ignores_byzantine_slots(self):
-        pop = WorkerPopulation(n=3, b=1)
-        honest = [DenseVector([1.0]), DenseVector([3.0])]
-        for poison in (0.0, 1e12, -7.5):
-            ups = honest + [DenseVector([poison])]
-            assert honest_mean(ups, pop)[0] == 2.0
-
-    def test_wrong_count_rejected(self):
-        pop = WorkerPopulation(n=3, b=0)
-        with pytest.raises(ConfigurationError, match="expected 3"):
-            honest_mean([DenseVector([1.0])], pop)
-
     def test_as_matrix_mixed_dims_rejected(self):
         with pytest.raises(ConfigurationError):
             as_matrix([DenseVector([1.0]), DenseVector([1.0, 2.0])])

@@ -317,7 +317,7 @@ class TestGrads:
         inst = build_random_quadratic_family(n=n, d=d, rng=RngStream(seed, 0, "f"), b=b)
         x = np.random.default_rng(seed).normal(size=d)
         ids = inst.pop.honest_sorted()
-        want = sum(inst.local_value(i, DenseVector(x)) for i in ids) / len(ids)
+        want = sum(inst.locals[i].value(x) for i in ids) / len(ids)
         assert inst.f_H(x) == want
 
     def test_f_H_takes_an_array_or_a_dense_vector(self):

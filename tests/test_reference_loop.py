@@ -1,7 +1,9 @@
 """trainer.run against the per-worker reference loop, byte for byte.
 
-The reference (reference_loop.py) is the loop trainer.run replaced. Every
-RunRecord column and the LyapunovTrace must match it exactly over random
+The reference (reference_loop.py) is the loop trainer.run replaced, with
+Lyapunov tracking still inside it; the engine side tracks with the
+lyapunov_trace pass over the finished record. Every RunRecord column and
+the LyapunovTrace must match the reference exactly over random
 populations, rules, attacks, noise models, momentum schedules and seeds.
 The one intended difference: a run whose iterate or metrics turn
 non-finite raises NumericFailure instead of recording inf.
@@ -28,7 +30,7 @@ from robustsgd.problems import (
     build_random_quadratic_family,
     with_noise,
 )
-from robustsgd.trainer import ScheduleSpec, run
+from robustsgd.trainer import ScheduleSpec, _check_trackable, lyapunov_trace, run
 
 COLUMNS = ("t", "grad_norm_sq", "f_gap", "dist_to_ref", "lyapunov", "gamma", "beta", "xs")
 RULE_CHOICES = ("average", "krum", "multi_krum", "cwm", "cwtm", "gm",
@@ -132,18 +134,30 @@ def _defined_columns_finite(record) -> bool:
     return all(np.isfinite(c).all() for c in cols)
 
 
+def engine_run(cfg, lyapunov_kappa=None, _force_honest_mean=False):
+    """trainer.run, then the Lyapunov post-pass when the case tracks, as
+    track_lyapunov composes them."""
+    if lyapunov_kappa is None:
+        return run(cfg, _force_honest_mean=_force_honest_mean)
+    _check_trackable(cfg)
+    record = run(cfg, _force_honest_mean=_force_honest_mean)
+    record.lyapunov_trace = lyapunov_trace(cfg, record, lyapunov_kappa)
+    record.lyapunov[:] = record.lyapunov_trace.V
+    return record
+
+
 def assert_matches_reference(cfg, **opts):
     try:
         want = reference_run(cfg, **opts)
     except Exception as exc:  # the engine must refuse the same input the same way
         with pytest.raises(type(exc)):
-            run(cfg, **opts)
+            engine_run(cfg, **opts)
         return
     if not _defined_columns_finite(want):
         with pytest.raises(NumericFailure, match="at iteration"):
-            run(cfg, **opts)
+            engine_run(cfg, **opts)
         return
-    got = run(cfg, **opts)
+    got = engine_run(cfg, **opts)
     for col in COLUMNS:
         assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
     if want.lyapunov_trace is None:
