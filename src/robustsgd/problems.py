@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ContractViolation,
-    DataError,
     DenseVector,
     RngStream,
     WorkerPopulation,
@@ -132,11 +131,46 @@ class SyntheticClassificationTask:
         # weights plus bias, flattened row-major: (C, dim + 1)
         return self.n_classes * (self.dim + 1)
 
-    def _unpack(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.n_classes, self.dim + 1)
+    @functools.cached_property
+    def shards(self):
+        """The workers' shards concatenated in worker order, built on first
+        use: (features (N, dim), labels (N,), start of each worker's
+        segment, its size, and each sample's shard size as an (N, 1)
+        column)."""
+        sizes = np.array([y.size for y in self.labels])
+        return (np.concatenate(self.features), np.concatenate(self.labels),
+                np.cumsum(sizes) - sizes, sizes, np.repeat(sizes, sizes)[:, None])
 
-    def _logits(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return X @ W[:, :-1].T + W[:, -1]
+    def _probs(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Softmax class probabilities of the samples X (..., k, dim) under
+        the flat parameters x, (..., k, n_classes). The logits of each
+        (k, dim) slice take one matmul, so a stack of batches gives every
+        batch's probabilities bitwise as a call on that batch alone."""
+        W = x.reshape(self.n_classes, self.dim + 1)
+        z = X @ W[:, :-1].T + W[:, -1]
+        z = z - z.max(axis=-1, keepdims=True)
+        expz = np.exp(z)
+        return expz / expz.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def _residual(p: np.ndarray, y: np.ndarray, m) -> np.ndarray:
+        """(p - onehot(y)) / m in place: the gradient of each batch's mean
+        cross-entropy with respect to its logits, from the probabilities p
+        (..., k, n_classes) of samples with labels y (..., k). m is the batch
+        size, or an array that broadcasts against p."""
+        rows = p.reshape(-1, p.shape[-1])
+        rows[np.arange(rows.shape[0]), y.reshape(-1)] -= 1.0
+        p /= m
+        return p
+
+    @staticmethod
+    def _reduce(r: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Flat parameter gradients, (..., param_dim), from the logit
+        gradients r (..., k, n_classes) of the samples X (..., k, dim):
+        weights r^T X and biases summed over the batch."""
+        gW = np.swapaxes(r, -1, -2) @ X
+        gb = r.sum(axis=-2)
+        return np.concatenate([gW, gb[..., None]], axis=-1).reshape(*r.shape[:-2], -1)
 
     def loss_grad(self, worker: int, x: np.ndarray, idx: Optional[np.ndarray] = None):
         """Cross-entropy loss and exact gradient on worker data (or the
@@ -145,18 +179,32 @@ class SyntheticClassificationTask:
         y = self.labels[worker]
         if idx is not None:
             X, y = X[idx], y[idx]
-        W = self._unpack(x)
-        z = self._logits(W, X)
-        z = z - z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        p = expz / expz.sum(axis=1, keepdims=True)
+        p = self._probs(x, X)
         m = X.shape[0]
         loss = float(-np.mean(np.log(p[np.arange(m), y] + 1e-300)))
-        p[np.arange(m), y] -= 1.0
-        p /= m
-        gW = p.T @ X
-        gb = p.sum(axis=0)
-        return loss, np.concatenate([gW, gb[:, None]], axis=1).reshape(-1)
+        return loss, self._reduce(self._residual(p, y, m), X)
+
+    def minibatch_grads(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Gradients of a stack of minibatches in one pass, (k, param_dim):
+        row r is the mean cross-entropy gradient over the samples idx[r]
+        (indices into the concatenated shards), bitwise what loss_grad
+        gives for the same samples of one worker."""
+        X, y = self.shards[0][idx], self.shards[1][idx]
+        return self._reduce(self._residual(self._probs(x, X), y, idx.shape[-1]), X)
+
+    def grads(self, x: np.ndarray) -> np.ndarray:
+        """Full-shard gradient of every worker, (n, param_dim), in one pass
+        over the concatenated shards: row w is loss_grad(w, x)[1] bitwise.
+        The logits of all samples take one matmul, except that a one-sample
+        shard takes its own (1, dim) product, as loss_grad does; each
+        worker's gradient then reduces its own segment."""
+        X, y, starts, sizes, per_sample = self.shards
+        p = self._probs(x, X)
+        single = starts[sizes == 1]
+        if single.size:
+            p[single] = self._probs(x, X[single, None])[:, 0]
+        r = self._residual(p, y, per_sample)
+        return np.stack([self._reduce(r[s:s + k], X[s:s + k]) for s, k in zip(starts, sizes)])
 
 
 @dataclass(frozen=True)
@@ -192,14 +240,15 @@ class ProblemInstance:
 
     def grads(self, x: np.ndarray) -> np.ndarray:
         """Exact gradients of every local objective at the point x (a (d,)
-        array), stacked to (n, d): row i is grad f_i(x).
+        array), stacked to (n, d): row i is grad f_i(x), bitwise the row
+        local_grad gives.
 
         For quadratics this is A * x + C with the coefficients stacked once
-        per instance; each row equals QuadraticLocal.grad bitwise. A
-        classification task takes one full-batch loss_grad per worker.
+        per instance. A classification task takes one softmax pass over its
+        concatenated shards (SyntheticClassificationTask.grads).
         """
         if self.task is not None:
-            return np.stack([self.task.loss_grad(w, x)[1] for w in range(self.pop.n)])
+            return self.task.grads(x)
         A, C = self._coefficients
         return A * x + C
 
@@ -210,14 +259,26 @@ class ProblemInstance:
             return DenseVector(g)
         return DenseVector(self.locals[worker].grad(x.values))
 
+    @functools.cached_property
+    def _honest_locals(self):
+        """(the distinct honest locals, the index among them of each honest
+        worker's local, in honest order). Families share one QuadraticLocal
+        among many workers, so f_H evaluates each distinct one once."""
+        honest = [self.locals[i] for i in self.pop.honest_sorted()]
+        distinct = tuple({id(loc): loc for loc in honest}.values())
+        slot = {id(loc): j for j, loc in enumerate(distinct)}
+        return distinct, tuple(slot[id(loc)] for loc in honest)
+
     def f_H(self, x: Union[DenseVector, np.ndarray]) -> float:
         """Honest average objective at x, a DenseVector or a (d,) array:
         the per-worker values summed in honest order, then divided."""
         values = x.values if isinstance(x, DenseVector) else x
-        ids = self.pop.honest_sorted()
         if self.task is not None:
+            ids = self.pop.honest_sorted()
             return sum(self.task.loss_grad(i, values)[0] for i in ids) / len(ids)
-        return sum(self.locals[i].value(values) for i in ids) / len(ids)
+        distinct, which = self._honest_locals
+        vals = [loc.value(values) for loc in distinct]
+        return sum(vals[j] for j in which) / len(which)
 
     def grad_f_H(self, x: DenseVector) -> DenseVector:
         ids = self.pop.honest_sorted()

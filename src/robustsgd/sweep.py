@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .configfile import _REGISTRY, _SWEEP_REGISTRY, materialize, parse_config_text, resolve
+from .configfile import _REGISTRY, materialize, parse_config_text, resolve
 from .core import ConfigurationError, RunConfig
 from .trainer import run
 

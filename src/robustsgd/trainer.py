@@ -9,12 +9,15 @@ robust distributed SGD.
 
 The loop works on stacked arrays: the momenta are the rows of one (n, d)
 matrix, the submitted updates another, and the aggregation rule reduces the
-latter directly. For quadratic objectives ProblemInstance.grads gives all n
-exact gradients in one call per step, and each worker's noise is drawn in
+latter directly. ProblemInstance.grads gives all n exact gradients in one
+call per step, for quadratics and classification tasks alike, and each
+worker's noise (a perturbation, or a minibatch's sample indices) is drawn in
 blocks of steps from its own (seed, worker, "noise") stream, bitwise equal
-to drawing it step by step. DenseVector appears only at the API boundary
-(x0, RunRecord.final_x) and where an OracleContext or AdversaryView needs
-the model x.
+to drawing it step by step. A classification step's minibatch gradients
+take one batched softmax pass for the honest workers and one for the
+Byzantine ones. DenseVector appears only at the API boundary (x0,
+RunRecord.final_x) and where an OracleContext or AdversaryView needs the
+model x.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from .core import (
     RngStream,
     RunConfig,
 )
-from .problems import ProblemInstance, stochastic_gradient
+from .problems import ProblemInstance
+# the loop does not call the per-worker honest oracle; perfbench's tracer
+# looks it up under this name
+from .problems import stochastic_gradient  # noqa: F401
 
 STEPSIZE_KINDS = ("constant", "invsqrt", "pl_piecewise", "cosine")
 MOMENTUM_KINDS = ("zero", "constant", "tied")
@@ -221,10 +227,6 @@ class RunRecord:
     def final_x(self) -> DenseVector:
         return DenseVector(self.xs[-1])
 
-    def x_at(self, t: int) -> DenseVector:
-        """Iterate x^t, t in [0, T]."""
-        return DenseVector(self.xs[t])
-
     def floor_estimate(self, window_fraction: Optional[float] = None) -> float:
         return measure_floor(self, window_fraction or self.floor_window)
 
@@ -313,35 +315,43 @@ def _poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstance:
 
 
 def _byzantine_honest_style(
-    inst: ProblemInstance, worker: int, x: np.ndarray, stream: RngStream
+    oracle: ProblemInstance, x: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
-    """Honest-style stochastic gradient of a Byzantine worker on a
-    classification task: its own shard (label-poisoned under label_flip),
-    its own minibatch drawn from its own stream, and none of the honest
-    oracle's membership contract. Quadratic runs take every worker's row
-    from ProblemInstance.grads instead. This stays a function of its own so
-    that perfbench's tracer (`attacks.byzantine_oracle`) can time the
-    Byzantine oracle apart from the honest one."""
-    task = inst.task
-    if inst.noise.kind == "minibatch":
-        m_avail = task.labels[worker].size
-        idx = stream.generator.integers(0, m_avail, size=inst.noise.m)
-        return task.loss_grad(worker, x, idx=idx)[1]
-    return task.loss_grad(worker, x)[1]
+    """Honest-style minibatch gradients of the Byzantine workers on a
+    classification task, one batched pass per step: row r is the gradient
+    over the r-th Byzantine worker's minibatch idx[r], drawn from that
+    worker's own stream and read from `oracle`'s shards, which are
+    label-poisoned under label_flip. Other noise models take every worker's
+    row from ProblemInstance.grads plus its own noise. This stays a function
+    of its own so that perfbench's tracer (`attacks.byzantine_oracle`) can
+    time the Byzantine oracle apart from the honest one."""
+    return oracle.task.minibatch_grads(x, idx)
 
 
 # Steps of noise drawn at a time: a run holds at most this many steps of
-# perturbations, whatever its horizon.
+# perturbations or minibatch indices, whatever its horizon.
 _NOISE_BLOCK = 1024
 
 
-def _noise_block(noise, streams: dict, steps: int, n: int, d: int) -> np.ndarray:
-    """The next `steps` gradient perturbations of every worker, (steps, n, d).
+def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
+                 task=None) -> np.ndarray:
+    """The next `steps` noise draws of every worker, (steps, n, ...).
 
-    Slice [:, w] holds sigma/sqrt(d) times worker w's draws from its own
-    stream: standard normals (gaussian) or signs 1 - 2*xi with xi in {0, 1}
-    (bernoulli_pm). One (steps, d) draw equals `steps` draws of size d, bit
-    for bit. Workers without a stream get zero slices."""
+    gaussian and bernoulli_pm: (steps, n, d) gradient perturbations; slice
+    [:, w] holds sigma/sqrt(d) times worker w's draws from its own stream,
+    standard normals (gaussian) or signs 1 - 2*xi with xi in {0, 1}
+    (bernoulli_pm). minibatch: (steps, n, m) indices into the task's
+    concatenated shards; slice [:, w] holds worker w's samples, drawn
+    uniformly with replacement from its own shard. One (steps, k) draw
+    equals `steps` draws of size k, bit for bit. Workers without a stream
+    get zero slices."""
+    if noise.kind == "minibatch":
+        _, _, starts, sizes, _ = task.shards
+        out = np.zeros((steps, n, noise.m), dtype=np.int64)
+        for w, stream in streams.items():
+            out[:, w] = starts[w] + stream.generator.integers(
+                0, sizes[w], size=(steps, noise.m))
+        return out
     out = np.zeros((steps, n, d))
     s = noise.sigma / math.sqrt(d)
     for w, stream in streams.items():
@@ -366,14 +376,17 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
     The loop keeps every worker's momentum as the rows of one (n, d)
-    matrix. For quadratics one call of ProblemInstance.grads per step, at
-    the new iterate, gives the metrics of that iterate and the next step's
-    exact gradients; noise is added from (steps, n, d) blocks drawn ahead
-    from each worker's (seed, worker, "noise") stream, bitwise the draws a
-    per-step oracle would make. Classification tasks keep one minibatch
-    oracle call per worker and step. A DenseVector is built only where an
-    OracleContext or AdversaryView needs the model x (oracle rules, ALIE)
-    and at the API boundary (x0, RunRecord.final_x).
+    matrix. One call of ProblemInstance.grads per step, at the new iterate,
+    gives the metrics of that iterate and the next step's exact gradients
+    (for a classification task, one softmax pass over the concatenated
+    shards). Each worker's noise comes from blocks drawn ahead from its own
+    (seed, worker, "noise") stream, bitwise the draws a per-step oracle
+    would make: perturbations added to the exact gradients, or, under
+    minibatch noise, sample indices whose gradients take one batched pass
+    for the honest workers and one (_byzantine_honest_style) for the
+    Byzantine ones. A DenseVector is built only where an OracleContext or
+    AdversaryView needs the model x (oracle rules, ALIE) and at the API
+    boundary (x0, RunRecord.final_x).
 
     Byzantine behavior by attack kind:
 
@@ -398,20 +411,23 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     byz = sorted(pop.byzantine_ids)
     L = inst.analytic.L
     noise = inst.noise
-    quadratic = inst.is_quadratic
-    if quadratic and noise.kind == "minibatch":
+    minibatch = noise.kind == "minibatch"
+    if inst.is_quadratic and minibatch:
         raise ConfigurationError("minibatch noise requires a classification task")
 
     crafted = bool(byz) and attack.kind == "alie"
     streams = {}
-    if not (quadratic and noise.deterministic):
+    if not noise.deterministic:
         # every worker but ALIE's slots draws its own gradients
         streams = {w: RngStream(config.seed, w, "noise")
                    for w in (honest if crafted else range(n))}
-    poisoned = (
-        _poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else None
+    # the shards every worker reads, label-poisoned for the Byzantine ones
+    # under label_flip; its honest rows are inst's, so its grads give f_H's too
+    oracle = (
+        _poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else inst
     )
-    needs_x = not quadratic or crafted or agg.honest_aware
+    byz_rows = bool(byz) and not crafted
+    needs_x = crafted or agg.honest_aware
     x_star = inst.analytic.x_star
 
     x = config.x0.values.copy()
@@ -439,7 +455,7 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
         ("dist_to_ref", dist, ref is not None),
     ) if defined]
 
-    G = inst.grads(x) if quadratic else None  # exact gradients at x^{t-1}
+    G = None if minibatch else oracle.grads(x)  # exact gradients at x^{t-1}
 
     t = 0
     try:
@@ -451,19 +467,19 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
                     X = DenseVector(x)
                     context = OracleContext(x=X, x_star=x_star, instance=inst)
 
-                if not quadratic:
-                    g = np.empty((n, d))
-                    for i in honest:
-                        g[i] = stochastic_gradient(inst, i, X, streams[i]).values
-                    src = poisoned if poisoned is not None else inst
-                    for j in () if crafted else byz:
-                        g[j] = _byzantine_honest_style(src, j, x, streams[j])
-                elif streams:
+                if streams:
                     k = (t - 1) % _NOISE_BLOCK
                     if k == 0:
                         block = _noise_block(
-                            noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d
+                            noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d,
+                            oracle.task,
                         )
+                if minibatch:
+                    g = np.empty((n, d))
+                    g[honest] = oracle.task.minibatch_grads(x, block[k, honest])
+                    if byz_rows:
+                        g[byz] = _byzantine_honest_style(oracle, x, block[k, byz])
+                elif streams:
                     g = G + block[k]
                 else:
                     g = G
@@ -498,11 +514,8 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
 
                 x = x - gamma * agg_out
                 xs[t] = x
-                if quadratic:
-                    G = inst.grads(x)
-                    gH = _row_mean(G[honest])
-                else:
-                    gH = inst.grad_f_H(DenseVector(x)).values
+                G = oracle.grads(x)
+                gH = _row_mean(G[honest])
                 grad_ns[t - 1] = float(np.dot(gH, gH))
                 if f_star is not None:
                     f_gap[t - 1] = inst.f_H(x) - f_star

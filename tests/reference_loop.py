@@ -47,10 +47,10 @@ def reference_byzantine_honest_style(
             m_avail = inst.task.labels[worker].size
             idx = stream.generator.integers(0, m_avail, size=noise.m)
             _, g = inst.task.loss_grad(worker, x.values, idx=idx)
-        else:
-            _, g = inst.task.loss_grad(worker, x.values)
-        return DenseVector(g)
-    g = inst.locals[worker].grad(x.values)
+            return DenseVector(g)
+        _, g = inst.task.loss_grad(worker, x.values)
+    else:
+        g = inst.locals[worker].grad(x.values)
     if noise.kind == "none" or noise.sigma == 0.0:
         return DenseVector(g)
     dd = g.size

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from robustsgd.core import ConfigurationError, ContractViolation, DenseVector, RngStream
 from robustsgd.problems import (
     NoiseModel,
+    QuadraticLocal,
+    SyntheticClassificationTask,
     build_classification_task,
     build_hetero_lower_bound,
     build_noise_lower_bound,
@@ -320,7 +323,106 @@ class TestGrads:
         want = sum(inst.locals[i].value(x) for i in ids) / len(ids)
         assert inst.f_H(x) == want
 
+    def test_f_H_evaluates_each_distinct_local_once(self):
+        # the synthetic family shares 3 QuadraticLocal objects among 20 workers
+        inst = build_synthetic_family(n=20, k=7, a=1.0, G=1.0, B=0.5, d=3)
+        x = np.array([0.5, -0.25, 2.0])
+        ids = inst.pop.honest_sorted()
+        want = sum(inst.locals[i].value(x) for i in ids) / len(ids)
+        value = QuadraticLocal.value
+        with mock.patch.object(QuadraticLocal, "value", autospec=True,
+                               side_effect=value) as counted:
+            got = inst.f_H(x)
+        assert counted.call_count == 3
+        assert got.hex() == want.hex()
+
     def test_f_H_takes_an_array_or_a_dense_vector(self):
         inst = build_synthetic_family(n=9, k=3, a=1.0, G=1.0, B=0.5, d=3)
         x = np.array([0.5, -0.25, 2.0])
         assert inst.f_H(x) == inst.f_H(DenseVector(x))
+
+
+# ---- the batched softmax oracle ----------------------------------------------
+
+
+def _written_out_loss_grad(X, y, x, n_classes, dim):
+    """The per-worker softmax loss and gradient as written before the batched
+    kernel, a fixed reference for its arithmetic."""
+    W = x.reshape(n_classes, dim + 1)
+    z = X @ W[:, :-1].T + W[:, -1]
+    z = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    p = expz / expz.sum(axis=1, keepdims=True)
+    m = X.shape[0]
+    loss = float(-np.mean(np.log(p[np.arange(m), y] + 1e-300)))
+    p[np.arange(m), y] -= 1.0
+    p /= m
+    return loss, np.concatenate([p.T @ X, p.sum(axis=0)[:, None]], axis=1).reshape(-1)
+
+
+@st.composite
+def shard_tasks(draw):
+    """A task with drawn shard sizes (1-30 samples), class count and feature
+    dim, a point x, and a generator for minibatch draws."""
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    C = draw(st.integers(2, 10))
+    dim = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    task = SyntheticClassificationTask(
+        features=tuple(3.0 * rng.standard_normal((k, dim)) for k in sizes),
+        labels=tuple(rng.integers(0, C, size=k) for k in sizes),
+        n_classes=C, dim=dim)
+    x = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 5.0])), size=task.param_dim)
+    return task, x, rng
+
+
+class TestSoftmaxOracle:
+    @given(shard_tasks(), st.integers(1, 8))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_minibatch_pass_equals_per_worker_loss_grad(self, case, m):
+        task, x, rng = case
+        _, _, starts, sizes, _ = task.shards
+        local = np.stack([rng.integers(0, k, size=m) for k in sizes])
+        got = task.minibatch_grads(x, starts[:, None] + local)
+        assert got.shape == (sizes.size, task.param_dim)
+        for w in range(sizes.size):
+            loss, want = task.loss_grad(w, x, idx=local[w])
+            assert got[w].tobytes() == want.tobytes()
+            X, y = task.features[w][local[w]], task.labels[w][local[w]]
+            ref_loss, ref = _written_out_loss_grad(X, y, x, task.n_classes, task.dim)
+            assert want.tobytes() == ref.tobytes() and loss.hex() == ref_loss.hex()
+
+    @given(shard_tasks())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_full_shard_pass_equals_per_worker_loss_grad(self, case):
+        task, x, _ = case
+        G = task.grads(x)
+        assert G.shape == (len(task.labels), task.param_dim)
+        for w in range(len(task.labels)):
+            loss, want = task.loss_grad(w, x)
+            assert G[w].tobytes() == want.tobytes()
+            ref_loss, ref = _written_out_loss_grad(
+                task.features[w], task.labels[w], x, task.n_classes, task.dim)
+            assert want.tobytes() == ref.tobytes() and loss.hex() == ref_loss.hex()
+
+    @given(st.integers(1, 10), st.integers(0, 4), st.integers(0, 31))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_instance_grads_equal_the_per_worker_stack(self, n, b, seed):
+        inst = build_classification_task(n_workers=n, b=min(b, (n - 1) // 2), n_classes=4,
+                                         dim=3, samples_per_class=2 * n, seed=seed)
+        x = np.random.default_rng(seed).normal(size=inst.dim)
+        stack = np.stack([inst.local_grad(w, DenseVector(x)).values for w in range(n)])
+        assert inst.grads(x).tobytes() == stack.tobytes()
+
+    def test_shards_are_concatenated_on_first_use(self):
+        inst = build_classification_task(n_workers=3, n_classes=3, dim=2,
+                                         samples_per_class=6)
+        x = np.zeros(inst.dim)
+        inst.task.loss_grad(0, x)
+        assert "shards" not in vars(inst.task)
+        inst.grads(x)
+        X, y, starts, sizes, _ = vars(inst.task)["shards"]
+        for w in range(3):
+            assert np.array_equal(X[starts[w]:starts[w] + sizes[w]], inst.task.features[w])
+            assert np.array_equal(y[starts[w]:starts[w] + sizes[w]], inst.task.labels[w])

@@ -189,6 +189,18 @@ def test_run_longer_than_a_noise_block_matches_reference(attack):
     assert_matches_reference(cfg)
 
 
+@pytest.mark.parametrize("attack", ["label_flip", "sign_flip"])
+def test_classification_run_across_an_index_block_matches_reference(attack):
+    # minibatch indices are drawn in blocks of _NOISE_BLOCK steps
+    inst = build_classification_task(n_workers=5, b=1, n_classes=3, dim=2,
+                                     samples_per_class=6, seed=2, minibatch=3)
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwtm", n=5, b=1, q=1),
+                    attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                    schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
+                    T=trainer._NOISE_BLOCK + 5, x0=DenseVector(np.zeros(inst.dim)), seed=9)
+    assert_matches_reference(cfg)
+
+
 @given(st.integers(0, 2**32), st.integers(0, 11), st.integers(1, 40), st.integers(1, 12),
        st.integers(1, 30), st.integers(1, 8))
 @settings(max_examples=60, deadline=None, derandomize=True)

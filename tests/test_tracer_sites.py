@@ -12,13 +12,14 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import robustsgd.trainer as trainer
 from robustsgd.aggregators import AggregatorSpec
 from robustsgd.attacks import AttackSpec
 from robustsgd.core import DenseVector, RngStream, RunConfig
-from robustsgd.problems import build_random_quadratic_family
+from robustsgd.problems import build_classification_task, build_random_quadratic_family
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,3 +86,39 @@ def test_traced_lyapunov_run_counts_its_steps():
     assert tracer.missing == []
     assert tracer.calls["trainer.run"] == 1 and tracer.steps == 7
     assert tracer.calls["trainer.schedules"] >= 7
+
+
+def _traced(cfg):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trainer.run(cfg)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_traced_classification_run_counts_its_steps():
+    inst = build_classification_task(n_workers=5, b=1, n_classes=3, dim=2,
+                                     samples_per_class=6, minibatch=2)
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=5, b=1),
+                    attack=AttackSpec(kind="label_flip", byzantine_ids=inst.pop.byzantine_ids),
+                    schedule=trainer.ScheduleSpec(gamma0=0.05), T=6,
+                    x0=DenseVector(np.zeros(inst.dim)))
+    tracer = _traced(cfg)
+    assert tracer.missing == []
+    assert tracer.steps == 6
+    # one batched Byzantine oracle call per step
+    assert tracer.calls["attacks.byzantine_oracle"] == 6
+
+
+def test_traced_alie_quadratic_run_counts_its_steps():
+    inst = build_random_quadratic_family(n=6, d=3, rng=RngStream(2, 0, "t"), b=1)
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwtm", n=6, b=1, q=1),
+                    attack=AttackSpec(kind="alie", byzantine_ids=inst.pop.byzantine_ids),
+                    schedule=trainer.ScheduleSpec(gamma0=0.05), T=5,
+                    x0=DenseVector(np.ones(3)))
+    tracer = _traced(cfg)
+    assert tracer.missing == []
+    assert tracer.steps == 5
+    assert tracer.calls["attacks.alie"] == 5

@@ -321,7 +321,7 @@ class TestRunRecord:
         rec = run(_cfg(inst, T=25))
         assert rec.T == 25
         assert rec.xs.shape == (26, 1)
-        assert rec.x_at(0) == DenseVector([1.0])
+        assert rec.xs[0].tolist() == [1.0]
         assert rec.final_x == DenseVector(rec.xs[-1])
         assert rec.t[0] == 1 and rec.t[-1] == 25
 
@@ -474,6 +474,32 @@ class TestAttackIntegration:
                                      byzantine_ids=frozenset({3})))
         rec = run(cfg)
         assert np.all(np.isfinite(rec.xs))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bernoulli_pm"])
+    @pytest.mark.parametrize("attack", ["none", "label_flip"])
+    def test_byzantine_rows_carry_their_own_noise_on_classification(self, kind, attack):
+        # every worker, Byzantine ones included, perturbs its full-shard
+        # gradient with draws from its own (seed, worker, "noise") stream
+        inst = with_noise(build_classification_task(n_workers=4, b=1, n_classes=3, dim=2,
+                                                    samples_per_class=8),
+                          NoiseModel(kind, sigma=1.0))
+        from robustsgd.trainer import _poisoned_instance
+
+        src = _poisoned_instance(inst, {3}) if attack == "label_flip" else inst
+        gamma, seed = 0.1, 5
+        x0 = np.linspace(-0.5, 0.5, inst.dim)
+        cfg = _cfg(inst, T=1, x0=x0, seed=seed,
+                   sched=ScheduleSpec(stepsize="constant", gamma0=gamma),
+                   attack=AttackSpec(kind=attack, byzantine_ids=frozenset({3})))
+        d = inst.dim
+        rows = []
+        for w in range(4):
+            gen = RngStream(seed, w, "noise").generator
+            draw = (gen.standard_normal(d) if kind == "gaussian"
+                    else 1.0 - 2.0 * gen.integers(0, 2, size=d))
+            rows.append(src.task.loss_grad(w, x0)[1] + draw / math.sqrt(d))
+        want = x0 - gamma * np.mean(rows, axis=0)
+        assert np.allclose(run(cfg).xs[1], want, rtol=0.0, atol=1e-12)
 
     def test_sign_flip_biases_the_average(self):
         rng = RngStream(44, 0, "t")
