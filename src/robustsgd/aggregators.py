@@ -84,10 +84,10 @@ class AggregatorSpec:
 @dataclass(frozen=True)
 class OracleContext:
     """Side information the oracle-adversarial variants need: the current
-    model x, the honest minimizer x_star, and (for construction-bound
-    variants) the problem instance itself."""
+    model x (a DenseVector or a (d,) array), the honest minimizer x_star,
+    and (for construction-bound variants) the problem instance itself."""
 
-    x: Optional[DenseVector] = None
+    x: Union[DenseVector, np.ndarray, None] = None
     x_star: Optional[DenseVector] = None
     instance: object = None
 
@@ -202,11 +202,18 @@ def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.n
 
 
 def _honest_stats(mat: np.ndarray, honest: Sequence[int]):
-    """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack."""
-    hm = np.take(mat, list(honest), axis=-2)  # C order, as each row alone
-    mean = hm.mean(axis=-2)
-    disp = ((hm - mean[..., None, :]) ** 2).sum(axis=-1).mean(axis=-1)
+    """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack.
+    np.add.reduce(...) / h is bitwise what .mean computes."""
+    hm = np.take(mat, honest, axis=-2)  # C order, as each row alone
+    h = hm.shape[-2]
+    mean = np.add.reduce(hm, axis=-2) / h
+    disp = np.add.reduce(((hm - mean[..., None, :]) ** 2).sum(axis=-1), axis=-1) / h
     return mean, disp
+
+
+def _values(x) -> np.ndarray:
+    """The entries of a DenseVector, or an array as it is."""
+    return x.values if isinstance(x, DenseVector) else x
 
 
 @_stacked
@@ -232,11 +239,16 @@ def oracle_adversarial(
                     reconstructed from the submissions.
 
     Each row of an (..., n, d) stack is answered on its own statistics.
+    An ndarray honest_ids is taken to be sorted already (the training loop
+    passes one); any other sequence is sorted here.
     """
     if kappa < 0:
         raise ConfigurationError("kappa must be >= 0")
-    honest = sorted(int(i) for i in honest_ids)
-    if not honest:
+    if isinstance(honest_ids, np.ndarray):
+        honest = honest_ids
+    else:
+        honest = np.array(sorted(int(i) for i in honest_ids), dtype=np.intp)
+    if not honest.size:
         raise ConfigurationError("oracle rules need a nonempty honest set")
     mean, disp = _honest_stats(mat, honest)
     sk = math.sqrt(kappa)
@@ -246,7 +258,7 @@ def oracle_adversarial(
             raise ConfigurationError(
                 "variance_sign needs context with the model x and x_star"
             )
-        disp_vec = context.x.values - context.x_star.values
+        disp_vec = _values(context.x) - _values(context.x_star)
         nrm = math.sqrt(float(np.dot(disp_vec, disp_vec)))
         mag = np.sqrt(kappa * disp)
         if nrm == 0.0:
@@ -278,10 +290,11 @@ def oracle_adversarial(
             raise ConfigurationError("noise_c2 requires bernoulli_pm noise with sigma > 0")
         if len(honest) != 2 or mat.shape[-2] != 2 or mat.shape[-1] != 1:
             raise ConfigurationError("noise_c2 expects the 1-D two-worker instance")
-        x = float(context.x.values[0])
+        xv = _values(context.x)
+        x = float(xv[0])
         mu = inst.analytic.mu
         B = inst.analytic.B
-        grads = np.array([inst.local_grad(w, context.x).values[0] for w in honest])
+        grads = inst.grads(xv)[honest, 0]
         resid = mat[..., honest, 0] - grads
         if np.any(np.abs(np.abs(resid) - sigma) > 1e-6 * max(1.0, sigma)):
             raise ConfigurationError(

@@ -38,12 +38,12 @@ class AdversaryView:
     """What an omniscient adversary gets to see in one iteration: every
     honest update (aligned with honest_ids order, as DenseVectors or as the
     rows of an (h, d) array), the server's aggregator, and the current
-    model."""
+    model (a DenseVector or a (d,) array)."""
 
     honest_updates: Union[Sequence[DenseVector], np.ndarray]
     honest_ids: Sequence[int]
     aggregator: AggregatorSpec
-    x: DenseVector
+    x: Union[DenseVector, np.ndarray]
     n: int
     context: Optional[OracleContext] = None
     # set by alie: the server's aggregate of the input it crafted, so the

@@ -261,24 +261,38 @@ class ProblemInstance:
 
     @functools.cached_property
     def _honest_locals(self):
-        """(the distinct honest locals, the index among them of each honest
-        worker's local, in honest order). Families share one QuadraticLocal
-        among many workers, so f_H evaluates each distinct one once."""
+        """(A, C, which): the coefficients of the distinct honest locals
+        stacked to (k, d), and the index among them of each honest worker's
+        local, in honest order. Families share one QuadraticLocal among many
+        workers, so f_H evaluates each distinct one once."""
         honest = [self.locals[i] for i in self.pop.honest_sorted()]
         distinct = tuple({id(loc): loc for loc in honest}.values())
         slot = {id(loc): j for j, loc in enumerate(distinct)}
-        return distinct, tuple(slot[id(loc)] for loc in honest)
+        return (np.stack([loc.a for loc in distinct]), np.stack([loc.c for loc in distinct]),
+                np.array([slot[id(loc)] for loc in honest], dtype=np.intp))
 
-    def f_H(self, x: Union[DenseVector, np.ndarray]) -> float:
-        """Honest average objective at x, a DenseVector or a (d,) array:
-        the per-worker values summed in honest order, then divided."""
-        values = x.values if isinstance(x, DenseVector) else x
+    def f_H(self, x: Union[DenseVector, np.ndarray]):
+        """Honest average objective at x, a DenseVector or a (d,) array (a
+        float), or, for quadratic locals, at each row of a (K, d) array (a
+        (K,) array): the per-worker values summed in honest order, then
+        divided.
+
+        A quadratic local's value 0.5*vecdot(a, x*x) + vecdot(c, x) is
+        bitwise QuadraticLocal.value, since np.vecdot takes np.dot's inner
+        loop; only a zero may differ in sign (np.dot keeps the sign of a
+        one-term product), which the sum cannot show. cumsum adds the
+        workers' values strictly in order, as Python's sum does, and adding
+        0.0 turns an all-(-0.0) total into the +0.0 that sum's integer start
+        gives."""
+        values = x.values if isinstance(x, DenseVector) else np.asarray(x, dtype=np.float64)
         if self.task is not None:
             ids = self.pop.honest_sorted()
             return sum(self.task.loss_grad(i, values)[0] for i in ids) / len(ids)
-        distinct, which = self._honest_locals
-        vals = [loc.value(values) for loc in distinct]
-        return sum(vals[j] for j in which) / len(which)
+        A, C, which = self._honest_locals
+        X = values[..., None, :]
+        vals = 0.5 * np.vecdot(A, X * X) + np.vecdot(C, X)
+        out = (np.cumsum(vals[..., which], axis=-1)[..., -1] + 0.0) / which.size
+        return float(out) if values.ndim == 1 else out
 
     def grad_f_H(self, x: DenseVector) -> DenseVector:
         ids = self.pop.honest_sorted()

@@ -16,8 +16,12 @@ blocks of steps from its own (seed, worker, "noise") stream, bitwise equal
 to drawing it step by step. A classification step's minibatch gradients
 take one batched softmax pass for the honest workers and one for the
 Byzantine ones. DenseVector appears only at the API boundary (x0,
-RunRecord.final_x) and where an OracleContext or AdversaryView needs the
-model x.
+RunRecord.final_x).
+
+A step computes only what the algorithm needs. The metric columns
+(grad_norm_sq, f_gap, dist_to_ref) are filled once per block of steps by a
+vectorised pass over the recorded iterates and the honest gradient rows the
+steps already made, bitwise what a per-step evaluation gives.
 """
 
 from __future__ import annotations
@@ -372,21 +376,27 @@ def _row_mean(rows: np.ndarray) -> np.ndarray:
     return (np.cumsum(rows, axis=-2)[..., -1, :] + 0.0) / rows.shape[-2]
 
 
+def _honest_task(task, honest):
+    """The classification task cut down to the honest workers' shards, in
+    honest order: its grads(x) is the honest rows of task.grads(x), bitwise,
+    from one pass over the honest samples alone."""
+    return replace(task, features=tuple(task.features[i] for i in honest),
+                   labels=tuple(task.labels[i] for i in honest))
+
+
 def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
     The loop keeps every worker's momentum as the rows of one (n, d)
     matrix. One call of ProblemInstance.grads per step, at the new iterate,
-    gives the metrics of that iterate and the next step's exact gradients
-    (for a classification task, one softmax pass over the concatenated
-    shards). Each worker's noise comes from blocks drawn ahead from its own
-    (seed, worker, "noise") stream, bitwise the draws a per-step oracle
-    would make: perturbations added to the exact gradients, or, under
-    minibatch noise, sample indices whose gradients take one batched pass
-    for the honest workers and one (_byzantine_honest_style) for the
-    Byzantine ones. A DenseVector is built only where an OracleContext or
-    AdversaryView needs the model x (oracle rules, ALIE) and at the API
-    boundary (x0, RunRecord.final_x).
+    gives the next step's exact gradients. Each worker's noise comes from
+    blocks drawn ahead from its own (seed, worker, "noise") stream, bitwise
+    the draws a per-step oracle would make: perturbations added to the exact
+    gradients, or, under minibatch noise, sample indices whose gradients
+    take one batched pass for the honest workers and one
+    (_byzantine_honest_style) for the Byzantine ones; the exact gradients
+    then serve only the metrics and come from the honest shards alone.
+    DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 
     Byzantine behavior by attack kind:
 
@@ -396,9 +406,15 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
       label_flip  they run on label-poisoned copies of their own shards
       alie        every Byzantine slot submits the common crafted vector
 
-    Every step checks the new iterate and its metrics; the first non-finite
-    value raises NumericFailure naming the iteration and the column. The
-    lyapunov column stays NaN; track_lyapunov fills it from the record.
+    A step computes no metric. It keeps the honest exact gradients at its
+    new iterate, and at the end of every block of at most _NOISE_BLOCK steps
+    one vectorised pass fills the block's rows of grad_norm_sq, f_gap and
+    dist_to_ref, bitwise what a per-step evaluation gives. The first
+    non-finite value raises NumericFailure naming the iteration and the
+    column, as a per-step check would: the iterate (checked every step)
+    before the columns, the columns in that order, and a non-finite metric
+    of an earlier step before any error a later step raises. The lyapunov
+    column stays NaN; track_lyapunov fills it from the record.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -407,27 +423,29 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     sched: ScheduleSpec = config.schedule
     pop = inst.pop
     n, d, T = pop.n, inst.dim, config.T
-    honest = pop.honest_sorted()
-    byz = sorted(pop.byzantine_ids)
+    honest = np.array(pop.honest_sorted(), dtype=np.intp)
+    byz = np.array(sorted(pop.byzantine_ids), dtype=np.intp)
     L = inst.analytic.L
     noise = inst.noise
     minibatch = noise.kind == "minibatch"
     if inst.is_quadratic and minibatch:
         raise ConfigurationError("minibatch noise requires a classification task")
 
-    crafted = bool(byz) and attack.kind == "alie"
+    crafted = byz.size > 0 and attack.kind == "alie"
     streams = {}
     if not noise.deterministic:
         # every worker but ALIE's slots draws its own gradients
         streams = {w: RngStream(config.seed, w, "noise")
-                   for w in (honest if crafted else range(n))}
+                   for w in (honest.tolist() if crafted else range(n))}
     # the shards every worker reads, label-poisoned for the Byzantine ones
     # under label_flip; its honest rows are inst's, so its grads give f_H's too
     oracle = (
-        _poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else inst
+        _poisoned_instance(inst, set(pop.byzantine_ids))
+        if attack.kind == "label_flip" else inst
     )
-    byz_rows = bool(byz) and not crafted
-    needs_x = crafted or agg.honest_aware
+    byz_rows = byz.size > 0 and not crafted
+    needs_context = crafted or agg.honest_aware
+    honest_grads = _honest_task(inst.task, honest).grads if minibatch else None
     x_star = inst.analytic.x_star
 
     x = config.x0.values.copy()
@@ -448,32 +466,51 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     betas = np.empty(T)
     xs = np.empty((T + 1, d))
     xs[0] = x
-    # the columns a step must leave finite; the others stay NaN
-    checked = [(name, col) for name, col, defined in (
-        ("grad_norm_sq", grad_ns, True),
-        ("f_gap", f_gap, f_star is not None),
-        ("dist_to_ref", dist, ref is not None),
-    ) if defined]
+    # the honest exact gradients at the iterates of the current block
+    gH_block = np.empty((min(_NOISE_BLOCK, T), honest.size, d))
+
+    def fill_metrics(r0: int, k: int) -> Optional[str]:
+        """Fill rows r0 .. r0+k-1 of the defined metric columns from the
+        iterates x^{r0+1} .. x^{r0+k} and gH_block[:k]; the other columns
+        stay NaN. Returns "non-finite <column> at iteration <t>" for the
+        first non-finite value, in row order and then in column order, or
+        None. Squared norms take np.vecdot, which runs np.dot's inner loop
+        row by row, so each value is bitwise a per-step float(np.dot(r, r));
+        @, einsum and (r*r).sum round differently."""
+        X = xs[r0 + 1:r0 + 1 + k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gH = _row_mean(gH_block[:k])
+            values = [("grad_norm_sq", grad_ns, np.vecdot(gH, gH))]
+            if f_star is not None:
+                values.append(("f_gap", f_gap, inst.f_H(X) - f_star))
+            if ref is not None:
+                r = X - ref.values
+                values.append(("dist_to_ref", dist, np.sqrt(np.vecdot(r, r))))
+        for _, col, v in values:
+            col[r0:r0 + k] = v
+        ok = np.isfinite([v for _, _, v in values])
+        if ok.all():
+            return None
+        row = int(np.argmin(ok.all(axis=0)))
+        return f"non-finite {values[int(np.argmin(ok[:, row]))][0]} at iteration {r0 + row + 1}"
 
     G = None if minibatch else oracle.grads(x)  # exact gradients at x^{t-1}
 
     t = 0
+    failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, T + 1):
                 gamma, beta = schedules(t, sched, T, L=L)
-                X = context = None
-                if needs_x:
-                    X = DenseVector(x)
-                    context = OracleContext(x=X, x_star=x_star, instance=inst)
+                context = None
+                if needs_context:
+                    context = OracleContext(x=x, x_star=x_star, instance=inst)
 
-                if streams:
-                    k = (t - 1) % _NOISE_BLOCK
-                    if k == 0:
-                        block = _noise_block(
-                            noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d,
-                            oracle.task,
-                        )
+                k = (t - 1) % _NOISE_BLOCK
+                if streams and k == 0:
+                    block = _noise_block(
+                        noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d, oracle.task,
+                    )
                 if minibatch:
                     g = np.empty((n, d))
                     g[honest] = oracle.task.minibatch_grads(x, block[k, honest])
@@ -493,13 +530,13 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
                 if crafted:
                     view = AdversaryView(
                         honest_updates=m[honest], honest_ids=honest, aggregator=agg,
-                        x=X, n=n, context=context,
+                        x=x, n=n, context=context,
                     )
                     U = m.copy()
                     U[byz] = alie(view, attack.candidate_alphas)
                     # alie's probe already aggregated exactly this input
                     agg_out = view.server_output
-                elif byz and attack.kind == "sign_flip":
+                elif byz_rows and attack.kind == "sign_flip":
                     U = m.copy()
                     U[byz] = sign_flip(m[byz])
 
@@ -514,24 +551,29 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
 
                 x = x - gamma * agg_out
                 xs[t] = x
-                G = oracle.grads(x)
-                gH = _row_mean(G[honest])
-                grad_ns[t - 1] = float(np.dot(gH, gH))
-                if f_star is not None:
-                    f_gap[t - 1] = inst.f_H(x) - f_star
-                if ref is not None:
-                    r = x - ref.values
-                    dist[t - 1] = math.sqrt(float(np.dot(r, r)))
                 gammas[t - 1] = gamma
                 betas[t - 1] = beta
-
                 if not np.isfinite(x).all():
                     raise NumericFailure("non-finite iterate")
-                for name, col in checked:
-                    if not math.isfinite(col[t - 1]):
-                        raise NumericFailure(f"non-finite {name}")
-    except NumericFailure as exc:
-        raise NumericFailure(f"{exc} at iteration {t}") from None
+                if minibatch:
+                    gH_block[k] = honest_grads(x)
+                else:
+                    G = oracle.grads(x)
+                    gH_block[k] = G[honest]
+                if k == _NOISE_BLOCK - 1 or t == T:
+                    failure = fill_metrics(t - 1 - k, k + 1)
+                    if failure:
+                        break
+    except Exception as exc:
+        # step t raised: a non-finite metric of an earlier step came first
+        k = (t - 1) % _NOISE_BLOCK
+        failure = fill_metrics(t - 1 - k, k)
+        if failure is None:
+            if not isinstance(exc, NumericFailure):
+                raise
+            failure = f"{exc} at iteration {t}"
+    if failure:
+        raise NumericFailure(failure) from None
 
     return RunRecord(
         t=t_arr, grad_norm_sq=grad_ns, f_gap=f_gap, dist_to_ref=dist,
@@ -596,38 +638,36 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
     A, C = inst._coefficients
     grads = (A * record.xs[:-1, None, :] + C)[:, honest]
     gHs = _row_mean(grads)
-    gnorms = np.concatenate(([float(np.dot(gHs[0], gHs[0]))], record.grad_norm_sq[:-1]))
+    gnorms = np.concatenate((np.vecdot(gHs[:1], gHs[:1]), record.grad_norm_sq[:-1]))
     gaps = np.concatenate((
         [inst.f_H(record.xs[0]) - inst.f_H(inst.analytic.x_star)], record.f_gap[:-1]))
-    m = np.zeros(grads.shape[1:])
-    V = np.empty(T)
-    rhs = np.empty(max(T - 1, 0))
-    flagged: list = []
+    ms = np.zeros((T + 1,) + grads.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
+        # the honest momenta m^0 .. m^T; only this recursion is sequential
         for t in range(1, T + 1):
-            gap = gaps[t - 1]
-            centered = m - m.mean(axis=0)
-            disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
             beta = record.beta[t - 1]
-            m = beta * m + (1.0 - beta) * grads[t - 1]
-            delta = m.mean(axis=0) - gHs[t - 1]
-            delta_sq = float(np.dot(delta, delta))
-            V[t - 1] = 2.0 * gap + c1 * delta_sq + c2 * disp_prev
-            if not math.isfinite(V[t - 1]):
-                raise NumericFailure(f"non-finite lyapunov at iteration {t}")
-            if t >= 2 and V[t - 1] > rhs[t - 2]:
-                flagged.append(t - 1)
-            if t <= T - 1:
-                gamma = record.gamma[t - 1]
-                rhs[t - 1] = (
-                    gamma * (-3.0 / 8.0 + 21.0 * kappa * B * B) * gnorms[t - 1]
-                    + 2.0 * gap
-                    + (1.0 - gamma * L) * (c1 * delta_sq + c2 * disp_prev)
-                    + gamma * gamma
-                    * (162.0 * L / inst.pop.h + 756.0 * kappa * L)
-                    * sigma * sigma
-                    + 21.0 * gamma * kappa * G * G
-                )
+            ms[t] = beta * ms[t - 1] + (1.0 - beta) * grads[t - 1]
+        # Gamma_H^{t-1} and ||mean_H m^t - grad f_H(x^{t-1})||^2 in row t-1
+        centered = ms[:-1] - ms[:-1].mean(axis=1, keepdims=True)
+        disp_prev = (centered**2).sum(axis=2).mean(axis=1)
+        delta = ms[1:].mean(axis=1) - gHs
+        delta_sq = np.vecdot(delta, delta)
+        V = 2.0 * gaps + c1 * delta_sq + c2 * disp_prev
+        bad = ~np.isfinite(V)
+        if bad.any():
+            raise NumericFailure(f"non-finite lyapunov at iteration {int(np.argmax(bad)) + 1}")
+        # rhs[t-1] bounds V^{t+1}, for t = 1 .. T-1
+        gamma = record.gamma[:-1]
+        rhs = (
+            gamma * (-3.0 / 8.0 + 21.0 * kappa * B * B) * gnorms[:-1]
+            + 2.0 * gaps[:-1]
+            + (1.0 - gamma * L) * (c1 * delta_sq[:-1] + c2 * disp_prev[:-1])
+            + gamma * gamma
+            * (162.0 * L / inst.pop.h + 756.0 * kappa * L)
+            * sigma * sigma
+            + 21.0 * gamma * kappa * G * G
+        )
+    flagged = (np.flatnonzero(V[1:] > rhs) + 1).tolist()
     return LyapunovTrace(V=V, rhs=rhs, flagged=flagged, c1=c1, c2=c2)
 
 

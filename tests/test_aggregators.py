@@ -375,6 +375,24 @@ class TestStackedInputs:
                            [g[1] + (-sigma if c1 else sigma)]] for c0, c1 in coins])
         _assert_rows_match_single(spec, stack, [0, 1], ctx)
 
+    @pytest.mark.parametrize("x", [-1.3, 0.0, 0.4])
+    def test_oracle_rules_take_the_model_and_honest_ids_as_arrays(self, x):
+        # the training loop passes x as a (d,) array and the honest ids as a
+        # sorted index array; both must answer as a DenseVector and a list do
+        sigma = 0.7
+        inst = build_noise_lower_bound(mu=1.0, B=0.5, sigma=sigma)
+        g = inst.grads(np.array([x]))[:, 0]
+        stack = np.array([[[g[0] + s0], [g[1] + s1]]
+                          for s0 in (-sigma, sigma) for s1 in (-sigma, sigma)])
+        ids = np.array([0, 1], dtype=np.intp)
+        for variant, x_star in (("noise_c2", None), ("variance_sign", inst.analytic.x_star)):
+            spec = AggregatorSpec(rule="oracle_adversarial", n=2, kappa=0.3, variant=variant)
+            want = aggregate(spec, stack, honest_ids=[1, 0], context=OracleContext(
+                x=DenseVector([x]), x_star=x_star, instance=inst))
+            got = aggregate(spec, stack, honest_ids=ids, context=OracleContext(
+                x=np.array([x]), x_star=x_star, instance=inst))
+            assert got.tobytes() == want.tobytes(), variant
+
     def test_stack_must_hold_n_updates(self):
         spec = AggregatorSpec(rule="cwm", n=4)
         with pytest.raises(ConfigurationError, match="expected 4"):

@@ -1,5 +1,5 @@
 import math
-from unittest import mock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,22 +324,67 @@ class TestGrads:
         assert inst.f_H(x) == want
 
     def test_f_H_evaluates_each_distinct_local_once(self):
-        # the synthetic family shares 3 QuadraticLocal objects among 20 workers
+        # the synthetic family shares 3 QuadraticLocal objects among 20
+        # workers: f_H stacks their coefficients as 3 rows, evaluates those
+        # and gathers the 20 values in honest order
         inst = build_synthetic_family(n=20, k=7, a=1.0, G=1.0, B=0.5, d=3)
         x = np.array([0.5, -0.25, 2.0])
         ids = inst.pop.honest_sorted()
         want = sum(inst.locals[i].value(x) for i in ids) / len(ids)
-        value = QuadraticLocal.value
-        with mock.patch.object(QuadraticLocal, "value", autospec=True,
-                               side_effect=value) as counted:
-            got = inst.f_H(x)
-        assert counted.call_count == 3
-        assert got.hex() == want.hex()
+        A, C, which = inst._honest_locals
+        assert A.shape == C.shape == (3, 3) and which.size == 20
+        assert inst.f_H(x).hex() == want.hex()
+        assert [v.hex() for v in inst.f_H(np.stack([x, -x]))] == [
+            want.hex(), (sum(inst.locals[i].value(-x) for i in ids) / len(ids)).hex()]
 
     def test_f_H_takes_an_array_or_a_dense_vector(self):
         inst = build_synthetic_family(n=9, k=3, a=1.0, G=1.0, B=0.5, d=3)
         x = np.array([0.5, -0.25, 2.0])
         assert inst.f_H(x) == inst.f_H(DenseVector(x))
+
+    @given(st.integers(1, 12), st.integers(0, 5), st.integers(1, 12), st.integers(0, 9),
+           st.integers(0, 99))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_f_H_of_stacked_points_equals_per_worker_sums_bitwise(self, n, b, d, K, seed):
+        b = min(b, (n - 1) // 2)
+        inst = build_random_quadratic_family(n=n, d=d, rng=RngStream(seed, 0, "f"), b=b)
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(K, d)) * 10.0 ** gen.integers(-3, 4, size=(K, 1))
+        ids = inst.pop.honest_sorted()
+        want = [sum(inst.locals[i].value(x) for i in ids) / len(ids) for x in X]
+        got = inst.f_H(X)
+        assert got.shape == (K,)
+        assert [v.hex() for v in got] == [w.hex() for w in want]
+
+    def test_f_H_of_an_all_negative_zero_sum_is_positive_zero(self):
+        # every honest value is -0.0: Python's sum starts from the integer 0
+        # and gives +0.0, which the stacked path must reproduce
+        # (a one-term dot keeps the sign of -1 * 0; longer ones start from +0.0)
+        neg = QuadraticLocal([-1.0], [-3.0])
+        inst = replace(build_synthetic_family(n=5, k=1, a=1.0, G=1.0, B=0.5, d=1),
+                       locals=(neg,) * 5)
+        X = np.zeros((3, 1))
+        assert neg.value(X[0]) == 0.0 and math.copysign(1.0, neg.value(X[0])) == -1.0
+        want = sum(neg.value(x) for x in X[:1] for _ in range(5)) / 5
+        assert want.hex() == "0x0.0p+0"
+        assert [v.hex() for v in inst.f_H(X)] == [want.hex()] * 3
+        assert inst.f_H(X[0]).hex() == want.hex()
+
+
+def test_vecdot_is_row_by_row_np_dot():
+    # the metric columns, f_H and the Lyapunov pass rest on this: NumPy's
+    # vecdot takes np.dot's inner loop, while @, einsum, inner and
+    # (a*b).sum round differently from d = 2 up. (A zero result may differ
+    # in sign at d = 1; squared norms and f_H's honest sum cannot show it.)
+    rng = np.random.default_rng(0)
+    for d in [*range(1, 70), 90, 128, 200, 513]:
+        a, b = rng.normal(size=(2, 7, d))
+        want = np.array([np.dot(a[i], b[i]) for i in range(7)])
+        assert np.vecdot(a, b).tobytes() == want.tobytes(), d
+        # broadcast against a stack of rows, as f_H evaluates them
+        got = np.vecdot(a[None, :3], b[:, None])
+        assert got.tobytes() == np.array(
+            [[np.dot(a[j], b[i]) for j in range(3)] for i in range(7)]).tobytes(), d
 
 
 # ---- the batched softmax oracle ----------------------------------------------

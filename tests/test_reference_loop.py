@@ -10,6 +10,7 @@ non-finite raises NumericFailure instead of recording inf.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,13 +22,17 @@ import robustsgd.trainer as trainer
 from reference_loop import reference_run
 from robustsgd.aggregators import AggregatorSpec
 from robustsgd.attacks import AttackSpec
-from robustsgd.core import DenseVector, NumericFailure, RngStream, RunConfig
+from robustsgd.core import DenseVector, NumericFailure, RngStream, RunConfig, WorkerPopulation
 from robustsgd.problems import (
+    Analytic,
     NoiseModel,
+    ProblemInstance,
+    QuadraticLocal,
     build_classification_task,
     build_hetero_lower_bound,
     build_noise_lower_bound,
     build_random_quadratic_family,
+    build_synthetic_family,
     with_noise,
 )
 from robustsgd.trainer import ScheduleSpec, _check_trackable, lyapunov_trace, run
@@ -199,6 +204,166 @@ def test_classification_run_across_an_index_block_matches_reference(attack):
                     schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
                     T=trainer._NOISE_BLOCK + 5, x0=DenseVector(np.zeros(inst.dim)), seed=9)
     assert_matches_reference(cfg)
+
+
+def test_run_longer_than_a_metric_block_fills_every_column_as_the_reference():
+    # x_F* differs from x*, so f_gap and dist_to_ref are both defined and
+    # read different points; the metric pass runs once per block
+    inst = build_synthetic_family(n=6, k=2, a=1.0, G=1.0, B=0.5, d=2)
+    cfg = RunConfig(problem=inst,
+                    aggregator=AggregatorSpec(rule="oracle_adversarial", n=6, kappa=0.2,
+                                              variant="variance_sign"),
+                    attack=AttackSpec(), schedule=ScheduleSpec(gamma0=0.05),
+                    T=trainer._NOISE_BLOCK + 5, x0=DenseVector([1.0, -2.0]))
+    record = run(cfg)
+    assert np.isfinite(record.f_gap).all() and np.isfinite(record.dist_to_ref).all()
+    assert_matches_reference(cfg)
+
+
+# ---- divergence: where the engine stops, against the reference ---------------
+
+
+def _line(a: float, x_star=True, x_F_star=False, n=3) -> ProblemInstance:
+    """n workers sharing f(x) = (a/2) x^2 in one dimension. Its minimizer
+    defines f_gap, and dist_to_ref reads x_F* = 0 if given, else x*."""
+    zero = DenseVector([0.0])
+    return ProblemInstance(
+        locals=(QuadraticLocal([a], [0.0]),) * n, pop=WorkerPopulation(n=n, b=0),
+        noise=NoiseModel("none"),
+        analytic=Analytic(L=a, mu=a, G=0.0, B=0.0, x_star=zero if x_star else None,
+                          x_F_star=zero if x_F_star else None))
+
+
+def _diverging(inst, T, x0, growth=10.0):
+    """Plain averaged gradient descent with gamma * a = 1 + growth, so each
+    step multiplies x by -growth: x*x overflows ~154 decades before x does."""
+    gamma = (1.0 + growth) / inst.analytic.L
+    return RunConfig(problem=inst, aggregator=AggregatorSpec(rule="average", n=inst.pop.n),
+                     attack=AttackSpec(), schedule=ScheduleSpec(gamma0=gamma), T=T,
+                     x0=DenseVector([x0]))
+
+
+def reference_failure(cfg):
+    """(t, column) of the first step at which the per-worker reference loop
+    raises (column None) or records a non-finite value in a defined column.
+    The reference records inf and runs on where the engine stops, so this
+    replays its prefixes: under a constant step size the first T' steps of
+    a run do not depend on T."""
+    assert cfg.schedule.stepsize == "constant"
+    inst = cfg.problem
+    defined = {"grad_norm_sq": True, "f_gap": inst.analytic.x_star is not None,
+               "dist_to_ref": (inst.analytic.x_star or inst.analytic.x_F_star) is not None}
+    for T in range(1, cfg.T + 1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                record = reference_run(replace(cfg, T=T))
+        except NumericFailure:
+            return T, None
+        for name in ("grad_norm_sq", "f_gap", "dist_to_ref"):
+            if defined[name] and not math.isfinite(getattr(record, name)[-1]):
+                return T, name
+    return None
+
+
+def assert_fails_as_reference(cfg, want):
+    t, column = want
+    text = f"non-finite {column} at iteration {t}" if column else f"at iteration {t}$"
+    with pytest.raises(NumericFailure, match=text):
+        run(cfg)
+
+
+@pytest.mark.parametrize("a, x_star, x_F_star, column", [
+    (1.0, True, False, "grad_norm_sq"),
+    (1e-10, True, False, "f_gap"),       # grad_norm_sq stays finite
+    (1e-10, False, True, "dist_to_ref"),  # f_gap undefined
+])
+def test_metric_turns_non_finite_while_the_iterate_stays_finite(a, x_star, x_F_star, column):
+    # x*x first overflows at step 8, mid-block; the iterate stays finite to
+    # step ~160 and the run stops at T = 40
+    cfg = _diverging(_line(a, x_star, x_F_star), T=40, x0=1e147)
+    want = reference_failure(cfg)
+    assert want == (8, column)
+    with mock.patch.object(trainer, "_NOISE_BLOCK", 16):
+        assert_fails_as_reference(cfg, want)
+
+
+def test_earlier_metric_failure_wins_over_a_later_iterate_failure():
+    # row 3's grad_norm_sq is inf; the iterate overflows ~155 steps later in
+    # the same block, and the run must still name row 3
+    cfg = _diverging(_line(1.0), T=200, x0=1e152)
+    assert reference_failure(replace(cfg, T=10)) == (3, "grad_norm_sq")
+    with pytest.raises(NumericFailure, match="non-finite grad_norm_sq at iteration 3$"):
+        run(cfg)
+    # with no metric failure first, the iterate's own failure stands: x^1 =
+    # -1e250 has ||grad||^2 = 1e300, and x^2 overflows
+    cfg = _diverging(_line(1e-100, x_star=False), T=20, x0=1e100, growth=1e150)
+    assert reference_failure(cfg) == (2, None)
+    with pytest.raises(NumericFailure, match="non-finite iterate at iteration 2$"):
+        run(cfg)
+
+
+def test_failure_in_the_last_partial_block():
+    # blocks of 16 over T = 37: rows 33-37 are filled after the loop ends
+    cfg = _diverging(_line(1.0), T=37, x0=1e119)
+    want = reference_failure(cfg)
+    assert want == (36, "grad_norm_sq")
+    with mock.patch.object(trainer, "_NOISE_BLOCK", 16):
+        assert_fails_as_reference(cfg, want)
+
+
+def _raising_on_call(k, exc):
+    """trainer.aggregate, except that its k-th call raises exc."""
+    calls = {"n": 0}
+    original = trainer.aggregate
+
+    def aggregate(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == k:
+            raise exc
+        return original(*args, **kwargs)
+    return aggregate
+
+
+@pytest.mark.parametrize("exc, text", [
+    (NumericFailure("stacked updates entries must be finite"),
+     "stacked updates entries must be finite at iteration 11$"),
+    (RuntimeError("aggregator crashed"), "aggregator crashed$"),
+])
+def test_aggregate_raising_mid_block(exc, text):
+    # step 11 of a 16-step block raises; with every earlier row finite the
+    # step's own error leaves the run, with its iteration if it is numeric
+    inst = with_noise(build_random_quadratic_family(n=5, d=3, rng=RngStream(1, 0, "r"), b=1),
+                      NoiseModel("gaussian", sigma=0.5))
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=5, b=1),
+                    attack=AttackSpec(kind="sign_flip", byzantine_ids=inst.pop.byzantine_ids),
+                    schedule=ScheduleSpec(gamma0=0.05), T=40, x0=DenseVector([1.0, 0.0, -1.0]))
+    with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
+            mock.patch.object(trainer, "aggregate", _raising_on_call(11, exc)):
+        with pytest.raises(type(exc), match=text):
+            run(cfg)
+
+
+@pytest.mark.parametrize("exc", [NumericFailure("boom"), RuntimeError("boom")])
+def test_earlier_metric_failure_wins_over_an_aggregate_raising_mid_block(exc):
+    cfg = _diverging(_line(1.0), T=40, x0=1e150)
+    want = reference_failure(cfg)
+    assert want == (5, "grad_norm_sq")
+    with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
+            mock.patch.object(trainer, "aggregate", _raising_on_call(11, exc)):
+        assert_fails_as_reference(cfg, want)
+
+
+@given(st.integers(1, 40), st.integers(100, 154), st.sampled_from([1.0, 1e-10]),
+       st.booleans(), st.booleans(), st.integers(1, 12))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_divergence_stops_where_the_reference_first_fails(T, decade, a, x_star, x_F_star, block):
+    cfg = _diverging(_line(a, x_star, x_F_star, n=2), T=T, x0=10.0**decade)
+    want = reference_failure(cfg)
+    with mock.patch.object(trainer, "_NOISE_BLOCK", block):
+        if want is None:
+            assert_matches_reference(cfg)
+        else:
+            assert_fails_as_reference(cfg, want)
 
 
 @given(st.integers(0, 2**32), st.integers(0, 11), st.integers(1, 40), st.integers(1, 12),

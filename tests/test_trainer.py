@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import robustsgd.trainer as trainer
 from robustsgd.aggregators import AggregatorSpec
 from robustsgd.attacks import AttackSpec
 from robustsgd.core import ConfigurationError, DenseVector, NumericFailure, RngStream, RunConfig
@@ -420,6 +421,22 @@ class TestValidation:
 
 
 # ---- attacks inside the loop -------------------------------------------------
+
+
+class TestHonestShards:
+    @pytest.mark.parametrize("samples_per_class", [2, 3, 8, 40])
+    @pytest.mark.parametrize("honest", [(0, 1, 2, 3), (0, 2, 3, 5), (1, 2, 4, 5)])
+    def test_honest_task_grads_equal_the_honest_rows_bitwise(self, samples_per_class, honest):
+        # under minibatch noise the metrics read the honest exact gradients
+        # from a pass over the honest shards alone; shards of one sample
+        # take their own product in both passes
+        inst = build_classification_task(n_workers=6, b=2, n_classes=3, dim=2,
+                                         samples_per_class=samples_per_class, seed=3,
+                                         alpha=0.3)
+        ids = np.array(honest, dtype=np.intp)
+        cut = trainer._honest_task(inst.task, ids)
+        for x in np.random.default_rng(samples_per_class).normal(size=(5, inst.dim)) * 3.0:
+            assert cut.grads(x).tobytes() == inst.task.grads(x)[ids].tobytes()
 
 
 class TestAttackIntegration:
