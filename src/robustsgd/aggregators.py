@@ -166,8 +166,21 @@ def multi_krum(mat: np.ndarray, b: int, q: int) -> np.ndarray:
 @_stacked
 def cwm(mat: np.ndarray) -> np.ndarray:
     """Coordinatewise median; even count takes the midpoint of the central
-    pair."""
-    return np.median(mat, axis=-2)
+    pair.
+
+    Bitwise np.median: the central one or two sorted values are averaged by
+    .mean, whose sum starts from +0.0 as np.median's does (so a -0.0 median
+    reads +0.0), and a coordinate holding a NaN reads the NaN that sorts
+    last, as np.median's check returns it."""
+    n = mat.shape[-2]
+    lo = (n - 1) // 2
+    s = np.sort(mat, axis=-2)
+    out = s[..., lo:n - lo, :].mean(axis=-2)
+    last = s[..., -1, :]
+    nan = np.isnan(last)
+    if nan.any():
+        np.copyto(out, last, where=nan)
+    return out
 
 
 @_stacked
@@ -186,6 +199,10 @@ def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.n
     coordinatewise mean:
 
         beta_i = 1 / max(nu, ||v - x_i||),   v <- sum beta_i x_i / sum beta_i
+
+    nu is an absolute floor on the distances, not one relative to the
+    inputs' scale: the rule is scale-equivariant (gm(c X) = c gm(X)) only
+    when nu is scaled by c too.
     """
     if iters < 1 or not nu > 0:
         raise ConfigurationError("geometric_median requires iters >= 1, nu > 0")

@@ -5,8 +5,15 @@ lands under a run directory together with the resolved configuration, so a
 directory is a self-describing record of what was executed.
 
 Exit codes: 0 success, 2 configuration error, 3 verification/certification
-failure, 4 numeric failure (NaN or overflow mid-run) or a violated internal
-contract (ContractViolation).
+failure or a robustness violation found by estimate-kappa, 4 numeric failure
+(NaN or overflow mid-run) or a violated internal contract
+(ContractViolation).
+
+`sweep` exits 0 when some cells fail: a cell that raises one of the
+library's errors (ConfigurationError, DataError, NumericFailure,
+ContractViolation) becomes a `failed` row of cells.csv with its error and is
+listed on stderr. Any other exception inside a cell is a fault of the
+program and propagates.
 """
 
 from __future__ import annotations
@@ -105,12 +112,15 @@ def cmd_estimate_kappa(args) -> int:
     spec = AggregatorSpec(rule=args.rule, n=args.n, b=args.b, q=args.q)
     est = estimate_kappa(spec, samples=args.samples, dim=args.dim,
                          rng=RngStream(args.seed, 0, "estimate-kappa"))
-    print(json.dumps(_json_safe({
+    payload = {
         "rule": args.rule, "n": args.n, "b": args.b,
         "kappa_hat": est.kappa_hat, "samples": est.samples,
         "violation": est.violation,
-    }), indent=2, sort_keys=True))
-    return EXIT_OK
+    }
+    if est.violation:
+        payload["worst_case_input"] = est.worst_case_input
+    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
+    return EXIT_VERIFY if est.violation else EXIT_OK
 
 
 def cmd_certify(args) -> int:

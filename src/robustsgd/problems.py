@@ -143,11 +143,12 @@ class SyntheticClassificationTask:
 
     def _probs(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Softmax class probabilities of the samples X (..., k, dim) under
-        the flat parameters x, (..., k, n_classes). The logits of each
-        (k, dim) slice take one matmul, so a stack of batches gives every
-        batch's probabilities bitwise as a call on that batch alone."""
-        W = x.reshape(self.n_classes, self.dim + 1)
-        z = X @ W[:, :-1].T + W[:, -1]
+        the flat parameters x, (..., k, n_classes), or under each row of a
+        stack x (K, d), (K, ..., k, n_classes). The logits of each (k, dim)
+        slice take one matmul, so a stack of batches or of parameters gives
+        every slice bitwise as a call on that batch and parameter alone."""
+        W = x.reshape(*x.shape[:-1], *(1,) * (X.ndim - 2), self.n_classes, self.dim + 1)
+        z = X @ np.swapaxes(W[..., :-1], -1, -2) + W[..., None, :, -1]
         z = z - z.max(axis=-1, keepdims=True)
         expz = np.exp(z)
         return expz / expz.sum(axis=-1, keepdims=True)
@@ -156,10 +157,11 @@ class SyntheticClassificationTask:
     def _residual(p: np.ndarray, y: np.ndarray, m) -> np.ndarray:
         """(p - onehot(y)) / m in place: the gradient of each batch's mean
         cross-entropy with respect to its logits, from the probabilities p
-        (..., k, n_classes) of samples with labels y (..., k). m is the batch
-        size, or an array that broadcasts against p."""
+        (..., k, n_classes) of samples with labels y, (..., k) or any shape
+        that broadcasts to it. m is the batch size, or an array that
+        broadcasts against p."""
         rows = p.reshape(-1, p.shape[-1])
-        rows[np.arange(rows.shape[0]), y.reshape(-1)] -= 1.0
+        rows[np.arange(rows.shape[0]), np.broadcast_to(y, p.shape[:-1]).reshape(-1)] -= 1.0
         p /= m
         return p
 
@@ -170,7 +172,8 @@ class SyntheticClassificationTask:
         weights r^T X and biases summed over the batch."""
         gW = np.swapaxes(r, -1, -2) @ X
         gb = r.sum(axis=-2)
-        return np.concatenate([gW, gb[..., None]], axis=-1).reshape(*r.shape[:-2], -1)
+        return np.concatenate([gW, gb[..., None]], axis=-1).reshape(
+            *r.shape[:-2], r.shape[-1] * (X.shape[-1] + 1))
 
     def loss_grad(self, worker: int, x: np.ndarray, idx: Optional[np.ndarray] = None):
         """Cross-entropy loss and exact gradient on worker data (or the
@@ -197,14 +200,19 @@ class SyntheticClassificationTask:
         over the concatenated shards: row w is loss_grad(w, x)[1] bitwise.
         The logits of all samples take one matmul, except that a one-sample
         shard takes its own (1, dim) product, as loss_grad does; each
-        worker's gradient then reduces its own segment."""
+        worker's gradient then reduces its own segment.
+
+        A stack of points x (K, d) gives (K, n, param_dim) in one pass,
+        slice k bitwise grads(x[k]): every product is the call that point
+        alone makes, repeated over the stack."""
         X, y, starts, sizes, per_sample = self.shards
         p = self._probs(x, X)
         single = starts[sizes == 1]
         if single.size:
-            p[single] = self._probs(x, X[single, None])[:, 0]
+            p[..., single, :] = self._probs(x, X[single, None])[..., 0, :]
         r = self._residual(p, y, per_sample)
-        return np.stack([self._reduce(r[s:s + k], X[s:s + k]) for s, k in zip(starts, sizes)])
+        return np.stack([self._reduce(r[..., s:s + k, :], X[s:s + k])
+                         for s, k in zip(starts, sizes)], axis=-2)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .configfile import _REGISTRY, materialize, parse_config_text, resolve
-from .core import ConfigurationError, RunConfig
+from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RunConfig
 from .trainer import run
 
 AXES = ("kappa", "B_sq", "gamma0", "momentum", "T")
@@ -252,7 +252,9 @@ def run_cell(spec: SweepSpec, index: int, params: dict) -> SweepCell:
         loaded = materialize(kv)
         cell.metric = _metric_of(loaded.config, spec.metric)
         cell.status = "ok"
-    except Exception as exc:  # a failed cell must not poison the sweep
+    except (ConfigurationError, DataError, NumericFailure, ContractViolation) as exc:
+        # a failed cell must not poison the sweep; any other exception is a
+        # fault of the program, not of the cell, and propagates
         cell.status = "failed"
         cell.error = f"{type(exc).__name__}: {exc}"
     return cell

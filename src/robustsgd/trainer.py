@@ -20,8 +20,11 @@ RunRecord.final_x).
 
 A step computes only what the algorithm needs. The metric columns
 (grad_norm_sq, f_gap, dist_to_ref) are filled once per block of steps by a
-vectorised pass over the recorded iterates and the honest gradient rows the
-steps already made, bitwise what a per-step evaluation gives.
+vectorised pass (fill_metrics) over the recorded iterates, bitwise what a
+per-step evaluation gives. Its honest exact gradients are the rows the steps
+already made, except in a minibatch run, whose steps make none: there the
+pass evaluates the honest shards at the block's iterates, a stacked softmax
+pass per chunk of them.
 """
 
 from __future__ import annotations
@@ -384,6 +387,52 @@ def _honest_task(task, honest):
                    labels=tuple(task.labels[i] for i in honest))
 
 
+# Iterates per stacked oracle call in a block's metrics pass under minibatch
+# noise: the pass holds a (chunk, h, d) gradient stack and the softmax
+# intermediates of chunk points, not a whole block's.
+_METRICS_CHUNK = 64
+
+
+def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstance,
+                 f_star, ref) -> Optional[str]:
+    """Fill rows r0 .. r0+k-1 of the record's defined metric columns from
+    its iterates x^{r0+1} .. x^{r0+k}; the other columns stay NaN.
+
+    `honest` is either the honest exact gradients at those iterates, a
+    (k, h, d) array the steps kept, or the honest shards' oracle, which
+    maps a (K, d) stack of points to (K, h, d) and is called here on at
+    most _METRICS_CHUNK iterates at a time (not at all for k = 0). f_star
+    (the optimal value) and ref (the reference point) may be None, which
+    leaves f_gap or dist_to_ref undefined.
+
+    Returns "non-finite <column> at iteration <t>" for the first non-finite
+    value, in row order and then in column order, or None. Squared norms
+    take np.vecdot, which runs np.dot's inner loop row by row, so each
+    value is bitwise a per-step float(np.dot(r, r)); @, einsum and
+    (r*r).sum round differently."""
+    X = record.xs[r0 + 1:r0 + 1 + k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if callable(honest):
+            gH = np.empty_like(X)
+            for i in range(0, k, _METRICS_CHUNK):
+                gH[i:i + _METRICS_CHUNK] = _row_mean(honest(X[i:i + _METRICS_CHUNK]))
+        else:
+            gH = _row_mean(honest)
+        values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
+        if f_star is not None:
+            values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
+        if ref is not None:
+            r = X - ref.values
+            values.append(("dist_to_ref", record.dist_to_ref, np.sqrt(np.vecdot(r, r))))
+    for _, col, v in values:
+        col[r0:r0 + k] = v
+    ok = np.isfinite([v for _, _, v in values])
+    if ok.all():
+        return None
+    row = int(np.argmin(ok.all(axis=0)))
+    return f"non-finite {values[int(np.argmin(ok[:, row]))][0]} at iteration {r0 + row + 1}"
+
+
 def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
@@ -394,8 +443,8 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     the draws a per-step oracle would make: perturbations added to the exact
     gradients, or, under minibatch noise, sample indices whose gradients
     take one batched pass for the honest workers and one
-    (_byzantine_honest_style) for the Byzantine ones; the exact gradients
-    then serve only the metrics and come from the honest shards alone.
+    (_byzantine_honest_style) for the Byzantine ones. A minibatch step then
+    needs no exact gradient at all.
     DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 
     Byzantine behavior by attack kind:
@@ -406,15 +455,18 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
       label_flip  they run on label-poisoned copies of their own shards
       alie        every Byzantine slot submits the common crafted vector
 
-    A step computes no metric. It keeps the honest exact gradients at its
-    new iterate, and at the end of every block of at most _NOISE_BLOCK steps
-    one vectorised pass fills the block's rows of grad_norm_sq, f_gap and
-    dist_to_ref, bitwise what a per-step evaluation gives. The first
-    non-finite value raises NumericFailure naming the iteration and the
-    column, as a per-step check would: the iterate (checked every step)
-    before the columns, the columns in that order, and a non-finite metric
-    of an earlier step before any error a later step raises. The lyapunov
-    column stays NaN; track_lyapunov fills it from the record.
+    A step computes no metric. At the end of every block of at most
+    _NOISE_BLOCK steps one vectorised pass (fill_metrics) fills the block's
+    rows of grad_norm_sq, f_gap and dist_to_ref, bitwise what a per-step
+    evaluation gives. Its honest exact gradients are the rows the steps
+    kept from their grads call, or, under minibatch noise, one stacked
+    softmax pass over the honest shards per chunk of the block's recorded
+    iterates. The first non-finite value raises NumericFailure naming the
+    iteration and the column, as a per-step check would: the iterate
+    (checked every step) before the columns, the columns in that order, and
+    a non-finite metric of an earlier step before any error a later step
+    raises. The lyapunov column stays NaN; track_lyapunov fills it from the
+    record.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -445,7 +497,6 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     )
     byz_rows = byz.size > 0 and not crafted
     needs_context = crafted or agg.honest_aware
-    honest_grads = _honest_task(inst.task, honest).grads if minibatch else None
     x_star = inst.analytic.x_star
 
     x = config.x0.values.copy()
@@ -458,43 +509,22 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     if ref is None:
         ref = x_star
 
-    t_arr = np.arange(1, T + 1)
-    grad_ns = np.empty(T)
-    f_gap = np.full(T, np.nan)
-    dist = np.full(T, np.nan)
-    gammas = np.empty(T)
-    betas = np.empty(T)
-    xs = np.empty((T + 1, d))
+    record = RunRecord(
+        t=np.arange(1, T + 1), grad_norm_sq=np.empty(T), f_gap=np.full(T, np.nan),
+        dist_to_ref=np.full(T, np.nan), lyapunov=np.full(T, np.nan),
+        gamma=np.empty(T), beta=np.empty(T), xs=np.empty((T + 1, d)),
+    )
+    xs, gammas, betas = record.xs, record.gamma, record.beta
     xs[0] = x
-    # the honest exact gradients at the iterates of the current block
-    gH_block = np.empty((min(_NOISE_BLOCK, T), honest.size, d))
-
-    def fill_metrics(r0: int, k: int) -> Optional[str]:
-        """Fill rows r0 .. r0+k-1 of the defined metric columns from the
-        iterates x^{r0+1} .. x^{r0+k} and gH_block[:k]; the other columns
-        stay NaN. Returns "non-finite <column> at iteration <t>" for the
-        first non-finite value, in row order and then in column order, or
-        None. Squared norms take np.vecdot, which runs np.dot's inner loop
-        row by row, so each value is bitwise a per-step float(np.dot(r, r));
-        @, einsum and (r*r).sum round differently."""
-        X = xs[r0 + 1:r0 + 1 + k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gH = _row_mean(gH_block[:k])
-            values = [("grad_norm_sq", grad_ns, np.vecdot(gH, gH))]
-            if f_star is not None:
-                values.append(("f_gap", f_gap, inst.f_H(X) - f_star))
-            if ref is not None:
-                r = X - ref.values
-                values.append(("dist_to_ref", dist, np.sqrt(np.vecdot(r, r))))
-        for _, col, v in values:
-            col[r0:r0 + k] = v
-        ok = np.isfinite([v for _, _, v in values])
-        if ok.all():
-            return None
-        row = int(np.argmin(ok.all(axis=0)))
-        return f"non-finite {values[int(np.argmin(ok[:, row]))][0]} at iteration {r0 + row + 1}"
-
-    G = None if minibatch else oracle.grads(x)  # exact gradients at x^{t-1}
+    # what the metrics pass reads: under minibatch noise the honest shards'
+    # oracle, evaluated there at the recorded iterates; otherwise the honest
+    # rows of each step's exact gradients
+    honest_grads = G = gH_block = None
+    if minibatch:
+        honest_grads = _honest_task(inst.task, honest).grads
+    else:
+        gH_block = np.empty((min(_NOISE_BLOCK, T), honest.size, d))
+        G = oracle.grads(x)  # exact gradients at x^{t-1}
 
     t = 0
     failure = None
@@ -555,30 +585,27 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
                 betas[t - 1] = beta
                 if not np.isfinite(x).all():
                     raise NumericFailure("non-finite iterate")
-                if minibatch:
-                    gH_block[k] = honest_grads(x)
-                else:
+                if not minibatch:
                     G = oracle.grads(x)
                     gH_block[k] = G[honest]
                 if k == _NOISE_BLOCK - 1 or t == T:
-                    failure = fill_metrics(t - 1 - k, k + 1)
+                    failure = fill_metrics(record, t - 1 - k, k + 1,
+                                           honest_grads or gH_block[:k + 1],
+                                           inst, f_star, ref)
                     if failure:
                         break
     except Exception as exc:
         # step t raised: a non-finite metric of an earlier step came first
         k = (t - 1) % _NOISE_BLOCK
-        failure = fill_metrics(t - 1 - k, k)
+        failure = fill_metrics(record, t - 1 - k, k, honest_grads or gH_block[:k],
+                               inst, f_star, ref)
         if failure is None:
             if not isinstance(exc, NumericFailure):
                 raise
             failure = f"{exc} at iteration {t}"
     if failure:
         raise NumericFailure(failure) from None
-
-    return RunRecord(
-        t=t_arr, grad_norm_sq=grad_ns, f_gap=f_gap, dist_to_ref=dist,
-        lyapunov=np.full(T, np.nan), gamma=gammas, beta=betas, xs=xs,
-    )
+    return record
 
 
 def run_honest_baseline(config: RunConfig) -> RunRecord:

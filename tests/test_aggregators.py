@@ -173,6 +173,20 @@ class TestCoordinatewise:
         ups = [DenseVector([v]) for v in (1.0, 2.0, 10.0, 20.0)]
         assert cwm(ups)[0] == 6.0
 
+    @given(st.integers(1, 21), st.sampled_from([(), (1,), (3,), (2, 2)]),
+           st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_cwm_is_bitwise_np_median(self, n, lead, d, seed, nonfinite):
+        # values from a small pool make ties and mix +0.0 with -0.0; a
+        # nonfinite stack also holds infinities and NaNs
+        gen = np.random.default_rng(seed)
+        pool = [-0.0, 0.0, 1.0, -1.0, 0.5, 2.0 ** -1074, 1e300, -3.25]
+        if nonfinite:
+            pool += [np.inf, -np.inf, np.nan]
+        mat = gen.choice(pool, size=lead + (n, d))
+        mat[gen.random(mat.shape) < 0.3] = gen.standard_normal()
+        assert cwm(mat).tobytes() == np.median(mat, axis=-2).tobytes()
+
     def test_cwtm_drops_extremes(self):
         ups = [DenseVector([v]) for v in (-1e9, 1.0, 2.0, 3.0, 1e9)]
         assert cwtm(ups, q=1)[0] == 2.0

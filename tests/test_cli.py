@@ -244,6 +244,17 @@ class TestSweepCommand:
             best = list(csv.DictReader(fh))
         assert all(float(r["kappa"]) > 0 for r in best)
 
+    def test_a_programming_error_in_a_cell_escapes_the_sweep(self, tmp_path, monkeypatch):
+        # only the library's error classes make a failed cell; a TypeError
+        # is a fault of the program, not a result of the cell
+        def broken(config, metric):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr("robustsgd.sweep._metric_of", broken)
+        sweepfile = _write(tmp_path / "s.cfg", SWEEP)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(["sweep", sweepfile, "--out", str(tmp_path / "out")])
+
     def test_gamma0_grid_incompatible_with_pl_stepsize(self, tmp_path):
         text = (
             "schedule.stepsize = pl_piecewise\nschedule.alpha1 = 1.0\n"
@@ -328,10 +339,30 @@ class TestToolCommands:
         monkeypatch.setattr("robustsgd.cli.estimate_kappa", violated)
         rc = main(["estimate-kappa", "--rule", "cwm", "--n", "6", "--b", "2",
                    "--samples", "5"])
-        assert rc == EXIT_OK
+        assert rc == EXIT_VERIFY
         payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
         assert payload["kappa_hat"] is None
         assert payload["violation"] is True
+
+    def test_estimate_kappa_violation_prints_the_worst_case_input(self, capsys, monkeypatch):
+        worst = {"inputs": [[0.0, 1.0]] * 4 + [[5.0, -2.0]] * 2, "honest_ids": [0, 1, 2, 3]}
+
+        def violated(spec, **kwargs):
+            return RobustnessEstimate(kappa_hat=float("inf"), samples=5,
+                                      worst_case_input=worst, violation=True)
+
+        monkeypatch.setattr("robustsgd.cli.estimate_kappa", violated)
+        rc = main(["estimate-kappa", "--rule", "cwm", "--n", "6", "--b", "2",
+                   "--samples", "5"])
+        assert rc == EXIT_VERIFY
+        assert json.loads(capsys.readouterr().out)["worst_case_input"] == worst
+
+    def test_estimate_kappa_without_violation_exits_0_and_omits_the_input(self, capsys):
+        rc = main(["estimate-kappa", "--rule", "cwtm", "--n", "6", "--b", "1",
+                   "--q", "1", "--samples", "12"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violation"] is False and "worst_case_input" not in payload
 
     def test_estimate_kappa_oracle_rule_needs_kappa(self, capsys):
         rc = main(["estimate-kappa", "--rule", "oracle_adversarial",

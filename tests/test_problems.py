@@ -451,6 +451,17 @@ class TestSoftmaxOracle:
                 task.features[w], task.labels[w], x, task.n_classes, task.dim)
             assert want.tobytes() == ref.tobytes() and loss.hex() == ref_loss.hex()
 
+    @given(shard_tasks(), st.sampled_from([0, 1, 63, 64, 65, 130]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_stacked_points_equal_one_pass_per_point(self, case, K):
+        # slice k is grads(X[k]) byte for byte, one-sample shards included
+        task, x, rng = case
+        X = x * rng.normal(scale=2.0, size=(K, 1)) + rng.standard_normal((K, x.size))
+        got = task.grads(X)
+        assert got.shape == (K, len(task.labels), task.param_dim)
+        want = [task.grads(p) for p in X]
+        assert got.tobytes() == (np.stack(want) if K else np.empty(got.shape)).tobytes()
+
     @given(st.integers(1, 10), st.integers(0, 4), st.integers(0, 31))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_instance_grads_equal_the_per_worker_stack(self, n, b, seed):

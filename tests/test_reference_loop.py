@@ -28,6 +28,7 @@ from robustsgd.problems import (
     NoiseModel,
     ProblemInstance,
     QuadraticLocal,
+    SyntheticClassificationTask,
     build_classification_task,
     build_hetero_lower_bound,
     build_noise_lower_bound,
@@ -204,6 +205,57 @@ def test_classification_run_across_an_index_block_matches_reference(attack):
                     schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
                     T=trainer._NOISE_BLOCK + 5, x0=DenseVector(np.zeros(inst.dim)), seed=9)
     assert_matches_reference(cfg)
+
+
+def _recording_task_grads():
+    """A stand-in for SyntheticClassificationTask.grads that records the
+    shape of every point or stack of points it is called on."""
+    original = SyntheticClassificationTask.grads
+    shapes = []
+
+    def grads(self, x):
+        shapes.append(x.shape)
+        return original(self, x)
+    return grads, shapes
+
+
+def _minibatch_config(attack, T, seed=9):
+    inst = build_classification_task(n_workers=6, b=1, n_classes=4, dim=3,
+                                     samples_per_class=7, seed=seed, minibatch=3)
+    return RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=6, b=1),
+                     attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                     schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
+                     T=T, x0=DenseVector(np.zeros(inst.dim)), seed=seed)
+
+
+def test_minibatch_run_evaluates_the_honest_gradients_per_block_in_chunks():
+    # T = 1100: one full block of 1024 steps, then 76 steps, so the metric
+    # pass stacks chunks of 64 iterates and a last partial one of 12; no
+    # step evaluates an exact gradient
+    cfg = _minibatch_config("label_flip", T=1100)
+    grads, shapes = _recording_task_grads()
+    with mock.patch.object(SyntheticClassificationTask, "grads", grads):
+        run(cfg)
+    assert trainer._NOISE_BLOCK == 1024 and trainer._METRICS_CHUNK == 64
+    assert shapes == [(64, cfg.problem.dim)] * 17 + [(12, cfg.problem.dim)]
+    assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("exc, text", [
+    (NumericFailure("boom"), "boom at iteration 17$"),
+    (RuntimeError("boom"), "boom$"),
+])
+def test_a_minibatch_run_failing_at_the_first_step_of_a_block_calls_no_oracle(exc, text):
+    # blocks of 16: step 17 raises before anything of its block is recorded,
+    # so the failure path fills an empty block and evaluates nothing
+    cfg = _minibatch_config("sign_flip", T=40)
+    grads, shapes = _recording_task_grads()
+    with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
+            mock.patch.object(trainer, "aggregate", _raising_on_call(17, exc)), \
+            mock.patch.object(SyntheticClassificationTask, "grads", grads):
+        with pytest.raises(type(exc), match=text):
+            run(cfg)
+    assert shapes == [(16, cfg.problem.dim)]
 
 
 def test_run_longer_than_a_metric_block_fills_every_column_as_the_reference():

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,26 @@ class TestHonestShards:
         cut = trainer._honest_task(inst.task, ids)
         for x in np.random.default_rng(samples_per_class).normal(size=(5, inst.dim)) * 3.0:
             assert cut.grads(x).tobytes() == inst.task.grads(x)[ids].tobytes()
+
+    def test_a_long_minibatch_run_holds_one_chunk_of_the_metric_pass(self):
+        # T = 2048 on the softmax benchmark's task (200 samples, 10 classes,
+        # d = 90). A run that kept every step's honest gradients for its
+        # block, (1024, 8, 90) floats, peaked at 14.2 MB under tracemalloc;
+        # the metric pass evaluates at most _METRICS_CHUNK iterates at once
+        inst = build_classification_task(n_workers=10, b=2, n_classes=10, dim=8, seed=0,
+                                         minibatch=8)
+        cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=10, b=2),
+                        attack=AttackSpec(kind="label_flip",
+                                          byzantine_ids=inst.pop.byzantine_ids),
+                        schedule=ScheduleSpec(gamma0=0.05), T=2048,
+                        x0=DenseVector(np.zeros(inst.dim)), seed=0)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14.2 * 2**20
 
 
 class TestAttackIntegration:
