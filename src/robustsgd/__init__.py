@@ -47,7 +47,6 @@ from .problems import (
     build_random_quadratic_family,
     build_synthetic_family,
     certify_dissimilarity,
-    sample_check_dissimilarity,
     with_noise,
 )
 from .sweep import SweepResult, SweepSpec, load_sweep, run_sweep
@@ -60,7 +59,6 @@ from .trainer import (
     pl_schedule_for_momentum,
     pl_schedule_for_plain,
     run,
-    run_honest_baseline,
     run_noise_floor_replicates,
     schedules,
     track_lyapunov,
@@ -87,11 +85,11 @@ __all__ = [
     "QuadraticLocal", "build_classification_task", "build_hetero_lower_bound",
     "build_noise_lower_bound", "build_random_quadratic_family",
     "build_synthetic_family", "certify_dissimilarity",
-    "sample_check_dissimilarity", "with_noise",
+    "with_noise",
     "SweepResult", "SweepSpec", "load_sweep", "run_sweep",
     "LyapunovTrace", "RunRecord", "ScheduleSpec", "lyapunov_trace", "measure_floor",
     "pl_schedule_for_momentum", "pl_schedule_for_plain", "run",
-    "run_honest_baseline", "run_noise_floor_replicates", "schedules",
+    "run_noise_floor_replicates", "schedules",
     "track_lyapunov",
     "ReportRow", "VerificationReport", "noise_floor_exact_moments",
     "run_verification",

@@ -416,14 +416,13 @@ def _ratio(out: np.ndarray, mat: np.ndarray, honest) -> float:
 
 def estimate_kappa(
     spec: AggregatorSpec,
-    n: Optional[int] = None,
-    b: Optional[int] = None,
     samples: int = 1000,
     dim: int = 2,
     rng: Optional[RngStream] = None,
 ) -> RobustnessEstimate:
     """Empirical lower bound on any valid robustness coefficient kappa for
-    the rule: the max over sampled input families and honest subsets of
+    the rule: the max over sampled families of spec.n inputs and over honest
+    subsets of size spec.n - spec.b of
 
         ||A(x) - mean_H||^2 / ((1/h) sum_H ||x_i - mean_H||^2).
 
@@ -431,10 +430,6 @@ def estimate_kappa(
     magnitudes 1/1e3/1e6, and coordinate-axis spikes. A zero-dispersion
     family with a nonzero numerator is flagged as a robustness violation.
     """
-    n = spec.n if n is None else n
-    b = spec.b if b is None else b
-    if n != spec.n or b != spec.b:
-        raise ConfigurationError("estimate_kappa n/b must match the aggregator spec")
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
     if spec.honest_aware and spec.variant != "variance_sign":
@@ -445,6 +440,7 @@ def estimate_kappa(
     if rng is None:
         rng = RngStream(0, worker=0, purpose="kappa")
     gen = rng.generator
+    n, b = spec.n, spec.b
     h = n - b
 
     all_subsets = None

@@ -9,6 +9,9 @@ failure or a robustness violation found by estimate-kappa, 4 numeric failure
 (NaN or overflow mid-run) or a violated internal contract
 (ContractViolation).
 
+A diverged `run` exits 4 after writing the trace rows before the failing
+iteration and a summary.json with "status": "diverged" (else "ok").
+
 `sweep` exits 0 when some cells fail: a cell that raises one of the
 library's errors (ConfigurationError, DataError, NumericFailure,
 ContractViolation) becomes a `failed` row of cells.csv with its error and is
@@ -60,6 +63,13 @@ def _json_safe(obj):
     return obj
 
 
+def _write_json(path: Path, obj) -> str:
+    """Write obj as strict JSON (NaN/inf as null) and return the text."""
+    text = json.dumps(_json_safe(obj), indent=2, sort_keys=True)
+    path.write_text(text + "\n")
+    return text
+
+
 def cmd_run(args) -> int:
     loaded = load_run_config(args.config)
     if loaded.config.replicates != 1:
@@ -72,17 +82,23 @@ def cmd_run(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     (out / "resolved.cfg").write_text(render_config(loaded.kv))
 
-    record = run(loaded.config)
+    try:
+        record = run(loaded.config)
+    except NumericFailure as exc:
+        # leave the rows before the failure and say where it happened
+        exc.record.to_csv(out / "trace.csv")
+        _write_json(out / "summary.json", {"status": "diverged", "iteration": exc.iteration,
+                                           "column": exc.column, "error": str(exc)})
+        raise
     record.to_csv(out / "trace.csv")
     if args.emit_plot_data:
         lines = ["t," + ",".join(f"x{j}" for j in range(record.xs.shape[1]))]
         for t, x in enumerate(record.xs):
             lines.append(f"{t}," + ",".join(f"{v:.17g}" for v in x))
         (out / "plot_data.csv").write_text("\n".join(lines) + "\n")
-    summary = _json_safe(record.summary())
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary = _write_json(out / "summary.json", {**record.summary(), "status": "ok"})
     print(f"run artifacts in {out}")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(summary)
     return EXIT_OK
 
 

@@ -27,7 +27,15 @@ class ContractViolation(RuntimeError):
 
 
 class NumericFailure(RuntimeError):
-    """A non-finite value (NaN/Inf) appeared during a run."""
+    """A non-finite value (NaN/Inf) appeared during a run. Raised by
+    trainer.run, it names the iteration and the column (None when a step's
+    own check raised) and carries the record of every row before it."""
+
+    def __init__(self, message: str, iteration=None, column=None, record=None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.column = column
+        self.record = record
 
 
 class DenseVector:

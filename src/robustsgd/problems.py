@@ -11,9 +11,9 @@ Three constructive families drive the verification suite:
   dissimilarity meets  G^2 + B^2*||grad f_H||^2  with equality.
 
 Also here: a quadratic dissimilarity certifier with an exact
-negative-semidefiniteness test, a grid-based fallback checker, stochastic
-gradient oracles, and a desk-scale synthetic classification task used to
-exercise the label-flip attack.
+negative-semidefiniteness test, the pointwise dissimilarity gap, a
+stochastic gradient oracle, and a desk-scale synthetic classification task
+used to exercise the label-flip attack. All read ProblemInstance.grads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class QuadraticLocal:
     @property
     def dim(self) -> int:
         return self.a.size
-
-    def value(self, x: np.ndarray) -> float:
-        return float(0.5 * np.dot(self.a, x * x) + np.dot(self.c, x))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x + self.c
 
 
 @dataclass(frozen=True)
@@ -248,8 +242,9 @@ class ProblemInstance:
 
     def grads(self, x: np.ndarray) -> np.ndarray:
         """Exact gradients of every local objective at the point x (a (d,)
-        array), stacked to (n, d): row i is grad f_i(x), bitwise the row
-        local_grad gives.
+        array), stacked to (n, d): row i is grad f_i(x). A stack of points
+        x (K, d) gives (K, n, d), slice k bitwise grads(x[k]). Every other
+        gradient helper reads rows of it.
 
         For quadratics this is A * x + C with the coefficients stacked once
         per instance. A classification task takes one softmax pass over its
@@ -258,14 +253,11 @@ class ProblemInstance:
         if self.task is not None:
             return self.task.grads(x)
         A, C = self._coefficients
-        return A * x + C
+        return A * x[..., None, :] + C
 
     def local_grad(self, worker: int, x: DenseVector) -> DenseVector:
-        """Exact gradient of f_worker at x."""
-        if self.task is not None:
-            _, g = self.task.loss_grad(worker, x.values)
-            return DenseVector(g)
-        return DenseVector(self.locals[worker].grad(x.values))
+        """Exact gradient of f_worker at x: row `worker` of grads(x)."""
+        return DenseVector(self.grads(x.values)[worker])
 
     @functools.cached_property
     def _honest_locals(self):
@@ -286,12 +278,12 @@ class ProblemInstance:
         divided.
 
         A quadratic local's value 0.5*vecdot(a, x*x) + vecdot(c, x) is
-        bitwise QuadraticLocal.value, since np.vecdot takes np.dot's inner
-        loop; only a zero may differ in sign (np.dot keeps the sign of a
-        one-term product), which the sum cannot show. cumsum adds the
-        workers' values strictly in order, as Python's sum does, and adding
-        0.0 turns an all-(-0.0) total into the +0.0 that sum's integer start
-        gives."""
+        bitwise float(0.5*np.dot(a, x*x) + np.dot(c, x)), since np.vecdot
+        takes np.dot's inner loop; only a zero may differ in sign (np.dot
+        keeps the sign of a one-term product), which the sum cannot show.
+        cumsum adds the workers' values strictly in order, as Python's sum
+        does, and adding 0.0 turns an all-(-0.0) total into the +0.0 that
+        sum's integer start gives."""
         values = x.values if isinstance(x, DenseVector) else np.asarray(x, dtype=np.float64)
         if self.task is not None:
             ids = self.pop.honest_sorted()
@@ -303,11 +295,16 @@ class ProblemInstance:
         return float(out) if values.ndim == 1 else out
 
     def grad_f_H(self, x: DenseVector) -> DenseVector:
-        ids = self.pop.honest_sorted()
-        acc = np.zeros(self.dim)
-        for i in ids:
-            acc += self.local_grad(i, x).values
-        return DenseVector(acc / len(ids))
+        """Honest average gradient at x: the _row_mean of grads(x)'s honest rows."""
+        return DenseVector(_row_mean(self.grads(x.values)[self.pop.honest_sorted()]))
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean of the rows of a (k, d) array, or of each (k, d) slice of a
+    stack, summed in row order from zero and then divided. cumsum adds
+    strictly in order where sum may pair terms; adding 0.0 turns an
+    all-(-0.0) sum into the +0.0 that a zero start gives."""
+    return (np.cumsum(rows, axis=-2)[..., -1, :] + 0.0) / rows.shape[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +539,8 @@ def certify_dissimilarity(instance: ProblemInstance, G: float, B: float) -> Cert
     beta_j. Coefficients at that level are cancellation residue, not signal.
     """
     if not instance.is_quadratic:
-        raise ConfigurationError(
-            "certify_dissimilarity supports quadratic instances only; "
-            "use sample_check_dissimilarity"
-        )
-    ids = instance.pop.honest_sorted()
-    A = np.stack([instance.locals[i].a for i in ids])   # (h, d)
-    C = np.stack([instance.locals[i].c for i in ids])
+        raise ConfigurationError("certify_dissimilarity supports quadratic instances only")
+    A, C = (M[instance.pop.honest_sorted()] for M in instance._coefficients)  # (h, d)
     a_bar = A.mean(axis=0)
     c_bar = C.mean(axis=0)
     var_a = ((A - a_bar) ** 2).mean(axis=0)
@@ -610,33 +602,13 @@ def _eval_q(alpha, beta, gamma0, x) -> float:
 
 
 def dissimilarity_gap(instance: ProblemInstance, G: float, B: float, x: DenseVector) -> float:
-    """LHS - RHS of the dissimilarity inequality at a single point."""
-    ids = instance.pop.honest_sorted()
-    gH = instance.grad_f_H(x).values
-    lhs = 0.0
-    for i in ids:
-        diff = instance.local_grad(i, x).values - gH
-        lhs += float(np.dot(diff, diff))
-    lhs /= len(ids)
-    return lhs - (G * G + B * B * float(np.dot(gH, gH)))
-
-
-def sample_check_dissimilarity(
-    instance: ProblemInstance, G: float, B: float, grid: Sequence[DenseVector]
-) -> CertifyResult:
-    """Pointwise dissimilarity check over a finite grid; the fallback for
-    non-quadratic tasks."""
-    if not grid:
-        raise ConfigurationError("grid must be nonempty")
-    worst_gap = -math.inf
-    worst_x = None
-    for x in grid:
-        gap = dissimilarity_gap(instance, G, B, x)
-        if gap > worst_gap:
-            worst_gap, worst_x = gap, x
-    if worst_gap > 1e-9 * max(1.0, G * G):
-        return CertifyResult("fail", worst_x, margin=worst_gap)
-    return CertifyResult("pass", None, margin=worst_gap)
+    """LHS - RHS of the dissimilarity inequality at a single point; the
+    squared deviations are summed in honest order from zero, then divided."""
+    rows = instance.grads(x.values)[instance.pop.honest_sorted()]
+    gH = _row_mean(rows)
+    diff = rows - gH
+    lhs = (np.cumsum(np.vecdot(diff, diff))[-1] + 0.0) / rows.shape[0]
+    return float(lhs - (G * G + B * B * np.vecdot(gH, gH)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +620,10 @@ def stochastic_gradient(
 ) -> DenseVector:
     """Unbiased gradient draw for an honest worker.
 
-    kind=none returns the exact gradient; gaussian/bernoulli_pm perturb it
-    with total second moment sigma^2; minibatch averages m per-sample
-    gradients of the classification task (sampled with replacement).
+    kind=none returns the exact gradient, row `worker` of grads(x);
+    gaussian/bernoulli_pm perturb it with total second moment sigma^2;
+    minibatch averages m per-sample gradients of the classification task
+    (sampled with replacement) by minibatch_grads, bitwise loss_grad.
     """
     if worker not in instance.pop.honest_ids:
         raise ContractViolation(
@@ -660,11 +633,10 @@ def stochastic_gradient(
     if noise.kind == "minibatch":
         if instance.task is None:
             raise ConfigurationError("minibatch noise requires a classification task")
-        m_avail = instance.task.labels[worker].size
-        idx = rng.generator.integers(0, m_avail, size=noise.m)
-        _, g = instance.task.loss_grad(worker, x.values, idx=idx)
-        return DenseVector(g)
-    g = instance.local_grad(worker, x).values
+        _, _, starts, sizes, _ = instance.task.shards
+        idx = rng.generator.integers(0, sizes[worker], size=noise.m)
+        return DenseVector(instance.task.minibatch_grads(x.values, starts[worker] + idx[None])[0])
+    g = instance.grads(x.values)[worker]
     if noise.kind == "none" or noise.sigma == 0.0:
         return DenseVector(g)
     d = g.size

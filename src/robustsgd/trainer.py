@@ -44,7 +44,7 @@ from .core import (
     RngStream,
     RunConfig,
 )
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _row_mean
 # the loop does not call the per-worker honest oracle; perfbench's tracer
 # looks it up under this name
 from .problems import stochastic_gradient  # noqa: F401
@@ -224,7 +224,6 @@ class RunRecord:
     beta: np.ndarray
     xs: np.ndarray
     lyapunov_trace: Optional[LyapunovTrace] = None
-    floor_window: float = 0.1
 
     @property
     def T(self) -> int:
@@ -234,8 +233,14 @@ class RunRecord:
     def final_x(self) -> DenseVector:
         return DenseVector(self.xs[-1])
 
-    def floor_estimate(self, window_fraction: Optional[float] = None) -> float:
-        return measure_floor(self, window_fraction or self.floor_window)
+    def floor_estimate(self, window_fraction: float = 0.1) -> float:
+        return measure_floor(self, window_fraction)
+
+    def head(self, k: int) -> "RunRecord":
+        """The first k rows, with the iterates x^0 .. x^k."""
+        return RunRecord(self.t[:k], self.grad_norm_sq[:k], self.f_gap[:k],
+                         self.dist_to_ref[:k], self.lyapunov[:k], self.gamma[:k],
+                         self.beta[:k], self.xs[:k + 1])
 
     def summary(self) -> dict:
         return {
@@ -370,15 +375,6 @@ def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
     return out
 
 
-def _row_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean of the rows of a (k, d) array, or of each (k, d) slice of a
-    stack, summed in row order from zero and then divided, as
-    ProblemInstance.grad_f_H does. cumsum adds strictly in order where sum
-    may pair terms; adding 0.0 turns an all-(-0.0) sum into the +0.0 that a
-    zero start gives."""
-    return (np.cumsum(rows, axis=-2)[..., -1, :] + 0.0) / rows.shape[-2]
-
-
 def _honest_task(task, honest):
     """The classification task cut down to the honest workers' shards, in
     honest order: its grads(x) is the honest rows of task.grads(x), bitwise,
@@ -394,7 +390,7 @@ _METRICS_CHUNK = 64
 
 
 def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstance,
-                 f_star, ref) -> Optional[str]:
+                 f_star, ref) -> Optional[tuple]:
     """Fill rows r0 .. r0+k-1 of the record's defined metric columns from
     its iterates x^{r0+1} .. x^{r0+k}; the other columns stay NaN.
 
@@ -405,10 +401,10 @@ def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstan
     (the optimal value) and ref (the reference point) may be None, which
     leaves f_gap or dist_to_ref undefined.
 
-    Returns "non-finite <column> at iteration <t>" for the first non-finite
-    value, in row order and then in column order, or None. Squared norms
-    take np.vecdot, which runs np.dot's inner loop row by row, so each
-    value is bitwise a per-step float(np.dot(r, r)); @, einsum and
+    Returns ("non-finite <column> at iteration <t>", column, t) for the
+    first non-finite value, in row order and then in column order, or None.
+    Squared norms take np.vecdot, which runs np.dot's inner loop row by row,
+    so each value is bitwise a per-step float(np.dot(r, r)); @, einsum and
     (r*r).sum round differently."""
     X = record.xs[r0 + 1:r0 + 1 + k]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -430,10 +426,11 @@ def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstan
     if ok.all():
         return None
     row = int(np.argmin(ok.all(axis=0)))
-    return f"non-finite {values[int(np.argmin(ok[:, row]))][0]} at iteration {r0 + row + 1}"
+    column, t = values[int(np.argmin(ok[:, row]))][0], r0 + row + 1
+    return f"non-finite {column} at iteration {t}", column, t
 
 
-def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
+def run(config: RunConfig) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
     The loop keeps every worker's momentum as the rows of one (n, d)
@@ -465,8 +462,9 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
     iteration and the column, as a per-step check would: the iterate
     (checked every step) before the columns, the columns in that order, and
     a non-finite metric of an earlier step before any error a later step
-    raises. The lyapunov column stays NaN; track_lyapunov fills it from the
-    record.
+    raises. The failure carries that iteration, the column and the record
+    of the steps before it. The lyapunov column stays NaN; track_lyapunov
+    fills it from the record.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -570,9 +568,7 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
                     U = m.copy()
                     U[byz] = sign_flip(m[byz])
 
-                if _force_honest_mean:
-                    agg_out = m[honest].mean(axis=0)
-                elif agg_out is None:
+                if agg_out is None:
                     agg_out = aggregate(
                         agg, U,
                         honest_ids=honest if agg.honest_aware else None,
@@ -584,7 +580,7 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
                 gammas[t - 1] = gamma
                 betas[t - 1] = beta
                 if not np.isfinite(x).all():
-                    raise NumericFailure("non-finite iterate")
+                    raise NumericFailure("non-finite iterate", column="iterate")
                 if not minibatch:
                     G = oracle.grads(x)
                     gH_block[k] = G[honest]
@@ -602,16 +598,12 @@ def run(config: RunConfig, _force_honest_mean: bool = False) -> RunRecord:
         if failure is None:
             if not isinstance(exc, NumericFailure):
                 raise
-            failure = f"{exc} at iteration {t}"
+            failure = f"{exc} at iteration {t}", exc.column, t
     if failure:
-        raise NumericFailure(failure) from None
+        message, column, t = failure
+        raise NumericFailure(message, iteration=t, column=column,
+                             record=record.head(t - 1)) from None
     return record
-
-
-def run_honest_baseline(config: RunConfig) -> RunRecord:
-    """The same loop with the aggregator replaced by the honest mean — an
-    oracle baseline for attack/rule comparisons."""
-    return run(config, _force_honest_mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +626,6 @@ def _check_trackable(config: RunConfig) -> None:
         raise ConfigurationError("lyapunov tracking needs declared (G, B)")
     if inst.analytic.x_star is None:
         raise ConfigurationError("lyapunov tracking needs a known minimizer")
-    if not inst.is_quadratic:
-        raise ConfigurationError("lyapunov tracking needs a quadratic objective")
 
 
 def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> LyapunovTrace:
@@ -646,10 +636,10 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
 
     with Gamma_H^{t-1} the honest momenta's dispersion. rhs[t-1] bounds
     V^{t+1}; a step whose V^{t+1} exceeds it is flagged. The run must be
-    deterministic (sigma = 0) on a quadratic with tied momentum, c_beta =
-    36: the honest momenta then replay exactly from record.xs and
-    record.beta, and the gap and ||grad f_H||^2 at x^{t-1} are the record's
-    own columns. The first non-finite V^t raises NumericFailure.
+    deterministic (sigma = 0) with tied momentum, c_beta = 36: the honest
+    momenta then replay exactly from grads(record.xs) and record.beta, and
+    the gap and ||grad f_H||^2 at x^{t-1} are the record's own columns. The
+    first non-finite V^t raises NumericFailure.
     """
     _check_trackable(config)
     inst: ProblemInstance = config.problem
@@ -662,8 +652,7 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
 
     # row t-1 of each: honest grad f_i(x^{t-1}), grad f_H(x^{t-1}), its squared
     # norm and f_H(x^{t-1}) - f*, the last two from the record for t >= 2
-    A, C = inst._coefficients
-    grads = (A * record.xs[:-1, None, :] + C)[:, honest]
+    grads = inst.grads(record.xs[:-1])[:, honest]
     gHs = _row_mean(grads)
     gnorms = np.concatenate((np.vecdot(gHs[:1], gHs[:1]), record.grad_norm_sq[:-1]))
     gaps = np.concatenate((

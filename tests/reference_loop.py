@@ -3,9 +3,18 @@ a reference implementation.
 
 `reference_run` is the loop as it stood before the engine moved to stacked
 (n, d) arrays: one DenseVector per worker and step, one stochastic-gradient
-call per worker, and metrics recomputed through ProblemInstance.grad_f_H and
-f_H. test_reference_loop.py checks that trainer.run reproduces it byte for
-byte. Only the two function names differ from the original.
+call per worker, and metrics recomputed through grad_f_H and f_H.
+test_reference_loop.py checks that trainer.run reproduces it byte for byte.
+Only the function names differ from the original, and the honest-mean
+aggregation switch it once had is gone with the engine's.
+
+The per-worker gradient helpers it called have since become row reads of
+ProblemInstance.grads. Their old bodies are kept below, verbatim apart from
+their names (and `self` read as `inst`), so that this loop still computes
+every gradient the old way:
+reference_quadratic_grad (QuadraticLocal.grad), reference_local_grad
+(ProblemInstance.local_grad), reference_grad_f_H (ProblemInstance.grad_f_H)
+and reference_stochastic_gradient (problems.stochastic_gradient).
 """
 
 from __future__ import annotations
@@ -19,12 +28,13 @@ from robustsgd.aggregators import AggregatorSpec, OracleContext, aggregate
 from robustsgd.attacks import AdversaryView, AttackSpec, alie, sign_flip
 from robustsgd.core import (
     ConfigurationError,
+    ContractViolation,
     DenseVector,
     NumericFailure,
     RngStream,
     RunConfig,
 )
-from robustsgd.problems import ProblemInstance, stochastic_gradient
+from robustsgd.problems import ProblemInstance
 from robustsgd.trainer import (
     LyapunovTrace,
     RunRecord,
@@ -33,6 +43,59 @@ from robustsgd.trainer import (
     _validate,
     schedules,
 )
+
+
+def reference_quadratic_grad(loc, x: np.ndarray) -> np.ndarray:
+    return loc.a * x + loc.c
+
+
+def reference_local_grad(inst: ProblemInstance, worker: int, x: DenseVector) -> DenseVector:
+    """Exact gradient of f_worker at x."""
+    if inst.task is not None:
+        _, g = inst.task.loss_grad(worker, x.values)
+        return DenseVector(g)
+    return DenseVector(reference_quadratic_grad(inst.locals[worker], x.values))
+
+
+def reference_grad_f_H(inst: ProblemInstance, x: DenseVector) -> DenseVector:
+    ids = inst.pop.honest_sorted()
+    acc = np.zeros(inst.dim)
+    for i in ids:
+        acc += reference_local_grad(inst, i, x).values
+    return DenseVector(acc / len(ids))
+
+
+def reference_stochastic_gradient(
+    instance: ProblemInstance, worker: int, x: DenseVector, rng: RngStream
+) -> DenseVector:
+    """Unbiased gradient draw for an honest worker.
+
+    kind=none returns the exact gradient; gaussian/bernoulli_pm perturb it
+    with total second moment sigma^2; minibatch averages m per-sample
+    gradients of the classification task (sampled with replacement).
+    """
+    if worker not in instance.pop.honest_ids:
+        raise ContractViolation(
+            f"worker {worker} is not honest; Byzantine outputs come from the attacks module"
+        )
+    noise = instance.noise
+    if noise.kind == "minibatch":
+        if instance.task is None:
+            raise ConfigurationError("minibatch noise requires a classification task")
+        m_avail = instance.task.labels[worker].size
+        idx = rng.generator.integers(0, m_avail, size=noise.m)
+        _, g = instance.task.loss_grad(worker, x.values, idx=idx)
+        return DenseVector(g)
+    g = reference_local_grad(instance, worker, x).values
+    if noise.kind == "none" or noise.sigma == 0.0:
+        return DenseVector(g)
+    d = g.size
+    if noise.kind == "gaussian":
+        pert = noise.sigma / math.sqrt(d) * rng.generator.standard_normal(d)
+    else:  # bernoulli_pm: xi=0 -> +sigma, xi=1 -> -sigma (per coordinate)
+        xi = rng.generator.integers(0, 2, size=d)
+        pert = noise.sigma / math.sqrt(d) * (1.0 - 2.0 * xi)
+    return DenseVector(g + pert)
 
 
 def reference_byzantine_honest_style(
@@ -50,7 +113,7 @@ def reference_byzantine_honest_style(
             return DenseVector(g)
         _, g = inst.task.loss_grad(worker, x.values)
     else:
-        g = inst.locals[worker].grad(x.values)
+        g = reference_quadratic_grad(inst.locals[worker], x.values)
     if noise.kind == "none" or noise.sigma == 0.0:
         return DenseVector(g)
     dd = g.size
@@ -65,7 +128,6 @@ def reference_byzantine_honest_style(
 def reference_run(
     config: RunConfig,
     lyapunov_kappa: Optional[float] = None,
-    _force_honest_mean: bool = False,
 ) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
@@ -148,7 +210,7 @@ def reference_run(
             disp_prev = float((centered**2).sum(axis=1).mean())  # Gamma_H^{t-1}
 
         for i in honest:
-            g = stochastic_gradient(inst, i, X, streams[i])
+            g = reference_stochastic_gradient(inst, i, X, streams[i])
             m[i] = beta * m[i] + (1.0 - beta) * g.values
 
         updates = [None] * n
@@ -185,7 +247,7 @@ def reference_run(
 
         if track:
             mH_bar = m[honest].mean(axis=0)
-            gH = inst.grad_f_H(X).values
+            gH = reference_grad_f_H(inst, X).values
             delta_t = mH_bar - gH
             delta_sq = float(np.dot(delta_t, delta_t))
             gap_prev = inst.f_H(X) - f_star
@@ -208,9 +270,7 @@ def reference_run(
                     + 21.0 * gamma * lyapunov_kappa * G_ * G_
                 )
 
-        if _force_honest_mean:
-            agg_out = m[honest].mean(axis=0)
-        elif agg_out is None:
+        if agg_out is None:
             context = OracleContext(x=X, x_star=inst.analytic.x_star, instance=inst)
             agg_out = aggregate(
                 agg,
@@ -227,7 +287,7 @@ def reference_run(
         xs[t] = x
 
         Xn = DenseVector(x)
-        gH_new = inst.grad_f_H(Xn).values
+        gH_new = reference_grad_f_H(inst, Xn).values
         grad_ns[t - 1] = float(np.dot(gH_new, gH_new))
         if f_star is not None:
             f_gap[t - 1] = inst.f_H(Xn) - f_star

@@ -531,11 +531,6 @@ class TestEstimateKappa:
             assert math.isfinite(est.kappa_hat), rule
             assert not est.violation, rule
 
-    def test_mismatched_n_rejected(self):
-        spec = AggregatorSpec(rule="cwm", n=5, b=1)
-        with pytest.raises(ConfigurationError, match="must match"):
-            estimate_kappa(spec, n=6, samples=5)
-
     def test_construction_bound_variants_refused(self):
         spec = AggregatorSpec(rule="oracle_adversarial", n=2, b=0, kappa=0.1,
                               variant="hetero_c1")

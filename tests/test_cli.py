@@ -143,6 +143,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["T"] == 50
         assert summary["final_grad_norm_sq"] >= 0.0
+        assert summary["status"] == "ok"
         stdout = capsys.readouterr().out
         assert f"run artifacts in {out}" in stdout
 
@@ -460,6 +461,26 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert re.search(r"non-finite (grad_norm_sq|f_gap) at iteration \d+", err), err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_diverged_run_leaves_its_rows_and_says_where(self, tmp_path, capsys):
+        def no_constants(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        cfg = _write(tmp_path / "c.cfg", DIVERGING_RUN)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constants)
+        t, column = summary["iteration"], summary["column"]
+        assert summary["status"] == "diverged" and column in ("grad_norm_sq", "f_gap")
+        assert summary["error"] == f"non-finite {column} at iteration {t}"
+        assert summary["error"] in capsys.readouterr().err
+        # trace.csv holds rows 1 .. t-1, the trace of the same run stopped
+        # before the failing step (a constant step size does not depend on T)
+        with open(out / "trace.csv", newline="") as fh:
+            assert [int(r["t"]) for r in csv.DictReader(fh)] == list(range(1, t))
+        head = _write(tmp_path / "head.cfg", DIVERGING_RUN.replace("run.T = 200", f"run.T = {t - 1}"))
+        assert main(["run", head, "--out", str(tmp_path / "head")]) == EXIT_OK
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "head" / "trace.csv").read_bytes()
 
     def test_diverged_sweep_cell_is_marked_failed(self, tmp_path, capsys):
         text = DIVERGING_RUN + "sweep.gamma0 = 0.1,5\n"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +144,15 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="replicates"):
             RunConfig(problem=None, aggregator=None, attack=None,
                       schedule=None, T=5, x0=DenseVector([0.0]), replicates=0)
+
+
+def test_importing_the_package_loads_verify_and_sweep():
+    # perfbench's closed-form timer patches trainer.run first and then
+    # imports any module of its run sites not yet loaded, which binds the
+    # already-wrapped run and times it twice; an eager `import robustsgd`
+    # keeps every such module loaded before the patching starts
+    code = "import sys, robustsgd; print(sorted(set(sys.modules) & {%r, %r}))" % (
+        "robustsgd.sweep", "robustsgd.verify")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['robustsgd.sweep', 'robustsgd.verify']"

@@ -127,7 +127,7 @@ def run_cases(draw):
     cfg = RunConfig(problem=inst, aggregator=agg, attack=attack_spec, schedule=sched,
                     T=draw(st.integers(1, 8)), x0=x0, seed=draw(st.integers(0, 2**16)))
 
-    opts = {"_force_honest_mean": draw(st.booleans())}
+    opts = {}
     if track:
         opts["lyapunov_kappa"] = draw(st.sampled_from([0.05, 0.3]))
     return cfg, opts
@@ -140,13 +140,13 @@ def _defined_columns_finite(record) -> bool:
     return all(np.isfinite(c).all() for c in cols)
 
 
-def engine_run(cfg, lyapunov_kappa=None, _force_honest_mean=False):
+def engine_run(cfg, lyapunov_kappa=None):
     """trainer.run, then the Lyapunov post-pass when the case tracks, as
     track_lyapunov composes them."""
     if lyapunov_kappa is None:
-        return run(cfg, _force_honest_mean=_force_honest_mean)
+        return run(cfg)
     _check_trackable(cfg)
-    record = run(cfg, _force_honest_mean=_force_honest_mean)
+    record = run(cfg)
     record.lyapunov_trace = lyapunov_trace(cfg, record, lyapunov_kappa)
     record.lyapunov[:] = record.lyapunov_trace.V
     return record
@@ -320,8 +320,19 @@ def reference_failure(cfg):
 def assert_fails_as_reference(cfg, want):
     t, column = want
     text = f"non-finite {column} at iteration {t}" if column else f"at iteration {t}$"
-    with pytest.raises(NumericFailure, match=text):
+    with pytest.raises(NumericFailure, match=text) as info:
         run(cfg)
+    # the failure names where it happened and carries every row before it,
+    # as the reference records them over the first t - 1 steps
+    exc = info.value
+    assert exc.iteration == t
+    if column:
+        assert exc.column == column
+    assert exc.record.T == t - 1
+    if t > 1:
+        prefix = reference_run(replace(cfg, T=t - 1))
+        for col in COLUMNS:
+            assert getattr(exc.record, col).tobytes() == getattr(prefix, col).tobytes(), col
 
 
 @pytest.mark.parametrize("a, x_star, x_F_star, column", [
@@ -350,8 +361,9 @@ def test_earlier_metric_failure_wins_over_a_later_iterate_failure():
     # -1e250 has ||grad||^2 = 1e300, and x^2 overflows
     cfg = _diverging(_line(1e-100, x_star=False), T=20, x0=1e100, growth=1e150)
     assert reference_failure(cfg) == (2, None)
-    with pytest.raises(NumericFailure, match="non-finite iterate at iteration 2$"):
+    with pytest.raises(NumericFailure, match="non-finite iterate at iteration 2$") as info:
         run(cfg)
+    assert info.value.column == "iterate"
 
 
 def test_failure_in_the_last_partial_block():
@@ -391,8 +403,10 @@ def test_aggregate_raising_mid_block(exc, text):
                     schedule=ScheduleSpec(gamma0=0.05), T=40, x0=DenseVector([1.0, 0.0, -1.0]))
     with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
             mock.patch.object(trainer, "aggregate", _raising_on_call(11, exc)):
-        with pytest.raises(type(exc), match=text):
+        with pytest.raises(type(exc), match=text) as info:
             run(cfg)
+    if isinstance(exc, NumericFailure):
+        assert (info.value.iteration, info.value.column, info.value.record.T) == (11, None, 10)
 
 
 @pytest.mark.parametrize("exc", [NumericFailure("boom"), RuntimeError("boom")])
