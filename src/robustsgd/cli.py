@@ -12,11 +12,15 @@ failure or a robustness violation found by estimate-kappa, 4 numeric failure
 A diverged `run` exits 4 after writing the trace rows before the failing
 iteration and a summary.json with "status": "diverged" (else "ok").
 
-`sweep` exits 0 when some cells fail: a cell that raises one of the
-library's errors (ConfigurationError, DataError, NumericFailure,
-ContractViolation) becomes a `failed` row of cells.csv with its error and is
-listed on stderr. Any other exception inside a cell is a fault of the
+`sweep` exits 0 when some cells fail: a cell that raises NumericFailure
+becomes a `diverged` row of cells.csv, and one that raises another of the
+library's errors (ConfigurationError, DataError, ContractViolation) a
+`failed` row. Either row carries its error and is listed on stderr, and
+best.csv picks neither. Any other exception inside a cell is a fault of the
 program and propagates.
+
+An --out path that cannot be made a directory (an existing file, or a path
+under one) exits 2 with a message naming the path.
 """
 
 from __future__ import annotations
@@ -109,10 +113,12 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec)
     result.cells_csv(out / "cells.csv")
     result.best_csv(out / "best.csv")
-    failed = [c for c in result.cells if c.status == "failed"]
-    print(f"sweep: {len(result.cells)} cells, {len(failed)} failed; artifacts in {out}")
-    for c in failed:
-        print(f"  cell {c.index} failed: {c.error}", file=sys.stderr)
+    bad = [c for c in result.cells if c.status != "ok"]
+    diverged = sum(c.status == "diverged" for c in bad)
+    print(f"sweep: {len(result.cells)} cells, {len(bad) - diverged} failed, "
+          f"{diverged} diverged; artifacts in {out}")
+    for c in bad:
+        print(f"  cell {c.index} {c.status}: {c.error}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -208,7 +214,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # e.g. an --out path that is a file or lies under one
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

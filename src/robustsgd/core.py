@@ -2,8 +2,10 @@
 worker populations, deterministic per-worker RNG streams, and the run
 configuration container.
 
-All arithmetic is 64-bit IEEE floating point. Vectors are immutable after
-construction and never allow NaN/Inf to escape a public operation.
+All arithmetic is 64-bit IEEE floating point. A DenseVector is a validated
+carrier at the public API boundary: immutable after construction, never
+holding NaN/Inf, with no vector algebra beyond negation (the code inside
+works on ndarrays).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class NumericFailure(RuntimeError):
 
 
 class DenseVector:
-    """Immutable d-dimensional real vector (d >= 1), the universal carrier
-    for models, gradients and momenta."""
+    """Immutable d-dimensional real vector (d >= 1), the validated type in
+    which models and updates cross the public API."""
 
     __slots__ = ("_values",)
 
@@ -70,25 +72,6 @@ class DenseVector:
 
     def __iter__(self):
         return iter(self._values.tolist())
-
-    def _check_dim(self, other: "DenseVector") -> None:
-        if self.dim != other.dim:
-            raise ConfigurationError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-
-    def __add__(self, other: "DenseVector") -> "DenseVector":
-        self._check_dim(other)
-        return DenseVector(self._values + other._values)
-
-    def __sub__(self, other: "DenseVector") -> "DenseVector":
-        self._check_dim(other)
-        return DenseVector(self._values - other._values)
-
-    def __mul__(self, scalar: float) -> "DenseVector":
-        return DenseVector(self._values * float(scalar))
-
-    __rmul__ = __mul__
 
     def __neg__(self) -> "DenseVector":
         return DenseVector(-self._values)

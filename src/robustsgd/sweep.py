@@ -5,8 +5,9 @@ over gamma0, momentum, T, B^2 and kappa. Cells are enumerated in canonical
 axis order (kappa, B_sq, gamma0, momentum, T — each grid in file order) and
 each cell derives its seed from (master seed, cell index), so a cell's
 result does not depend on which cells ran before it. Cells run one after
-another in canonical order. A failed cell is recorded and the sweep
-continues.
+another in canonical order. A cell that diverges (NumericFailure) is
+recorded as `diverged`, one that raises another of the library's errors as
+`failed`, and the sweep continues.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class SweepCell:
     index: int
     params: dict
     seed: int
-    status: str = "pending"      # ok | failed
+    status: str = "pending"      # ok | failed | diverged
     metric: Optional[float] = None
     error: Optional[str] = None
 
@@ -255,7 +256,7 @@ def run_cell(spec: SweepSpec, index: int, params: dict) -> SweepCell:
     except (ConfigurationError, DataError, NumericFailure, ContractViolation) as exc:
         # a failed cell must not poison the sweep; any other exception is a
         # fault of the program, not of the cell, and propagates
-        cell.status = "failed"
+        cell.status = "diverged" if isinstance(exc, NumericFailure) else "failed"
         cell.error = f"{type(exc).__name__}: {exc}"
     return cell
 

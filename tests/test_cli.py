@@ -395,6 +395,17 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_run_out_under_a_file_exits_config(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.cfg", MINIMAL)
+        bad = tmp_path / "c.cfg" / "sub"
+        assert main(["run", cfg, "--out", str(bad)]) == EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+
+    def test_sweep_out_on_an_existing_file_exits_config(self, tmp_path, capsys):
+        sweepfile = _write(tmp_path / "s.cfg", SWEEP)
+        assert main(["sweep", sweepfile, "--out", sweepfile]) == EXIT_CONFIG
+        assert sweepfile in capsys.readouterr().err
+
     def test_config_error_exit(self, tmp_path, capsys):
         cfg = _write(tmp_path / "c.cfg", "aggregator.b = 1\n")
         assert main(["run", cfg]) == EXIT_CONFIG
@@ -482,15 +493,18 @@ class TestDivergence:
         assert main(["run", head, "--out", str(tmp_path / "head")]) == EXIT_OK
         assert (out / "trace.csv").read_bytes() == (tmp_path / "head" / "trace.csv").read_bytes()
 
-    def test_diverged_sweep_cell_is_marked_failed(self, tmp_path, capsys):
+    def test_diverged_sweep_cell_is_marked_diverged(self, tmp_path, capsys):
         text = DIVERGING_RUN + "sweep.gamma0 = 0.1,5\n"
         sweepfile = _write(tmp_path / "s.cfg", text)
         out = tmp_path / "out"
         assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "2 cells, 0 failed, 1 diverged" in captured.out
+        assert "cell 1 diverged: NumericFailure" in captured.err
         with open(out / "cells.csv", newline="") as fh:
             cells = {float(c["gamma0"]): c for c in csv.DictReader(fh)}
         assert cells[0.1]["status"] == "ok"
-        assert cells[5.0]["status"] == "failed"
+        assert cells[5.0]["status"] == "diverged"
         assert "NumericFailure" in cells[5.0]["error"]
         with open(out / "best.csv", newline="") as fh:
             assert [float(r["gamma0"]) for r in csv.DictReader(fh)] == [0.1]

