@@ -47,7 +47,7 @@ class AggregatorSpec:
     n: int
     b: int = 0
     q: Optional[int] = None          # multi_krum / cwtm
-    iters: int = 50                  # gm
+    iters: int = 50                  # gm: round whose iterate is returned
     nu: float = 1e-8                 # gm smoothing floor
     kappa: Optional[float] = None    # oracle_adversarial
     variant: Optional[str] = None    # oracle_adversarial
@@ -170,20 +170,31 @@ def cwtm(mat: np.ndarray, q: int) -> np.ndarray:
 
 
 def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.ndarray:
-    """Smoothed Weiszfeld iteration, run for exactly `iters` rounds from the
-    coordinatewise mean:
+    """Smoothed Weiszfeld iteration from the coordinatewise mean; returns
+    the iterate of round `iters`:
 
         beta_i = 1 / max(nu, ||v - x_i||),   v <- sum beta_i x_i / sum beta_i
+
+    A round is a pure function of (mat, v), so once the iterate stack
+    repeats an earlier one byte for byte, the rounds cycle from there on
+    and the round-`iters` iterate is read off the cycle without running the
+    remaining rounds. The result is bitwise that of all `iters` rounds.
 
     nu is an absolute floor on the distances, not one relative to the
     inputs' scale: the rule is scale-equivariant (gm(c X) = c gm(X)) only
     when nu is scaled by c too.
     """
     v = mat.mean(axis=-2)
-    for _ in range(iters):
+    seen = [v]                     # seen[k]: the iterate after k rounds
+    first = {v.tobytes(): 0}       # iterate bytes -> first round holding them
+    for i in range(1, iters + 1):
         dist = np.sqrt(((mat - v[..., None, :]) ** 2).sum(axis=-1))
         beta = 1.0 / np.maximum(nu, dist)
         v = (beta[..., None] * mat).sum(axis=-2) / beta.sum(axis=-1, keepdims=True)
+        j = first.setdefault(v.tobytes(), i)
+        if j != i:                 # v_i == v_j: period i - j from round j on
+            return seen[j + (iters - j) % (i - j)]
+        seen.append(v)
     return v
 
 
@@ -192,8 +203,10 @@ def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.n
 
 
 def _honest_stats(mat: np.ndarray, honest: Sequence[int]):
-    """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack.
-    np.add.reduce(...) / h is bitwise what .mean computes."""
+    """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack;
+    an (S, h) index array gives S honest subsets of an (n, d) input, with
+    mean (S, d) and dispersion (S,). np.add.reduce(...) / h is bitwise
+    what .mean computes."""
     hm = np.take(mat, honest, axis=-2)  # C order, as each row alone
     h = hm.shape[-2]
     mean = np.add.reduce(hm, axis=-2) / h
@@ -375,18 +388,6 @@ def aggregate(
 # empirical robustness estimation
 
 
-def _ratio(out: np.ndarray, mat: np.ndarray, honest) -> float:
-    """||out - mean_H||^2 / dispersion_H; inf for a zero-dispersion input
-    with a nonzero numerator."""
-    mean, disp = _honest_stats(mat, honest)
-    disp = float(disp)
-    dev = out - mean
-    num = float(np.dot(dev, dev))
-    if disp == 0.0:
-        return math.inf if num > 1e-24 else 0.0
-    return num / disp
-
-
 def estimate_kappa(
     spec: AggregatorSpec,
     samples: int = 1000,
@@ -402,6 +403,10 @@ def estimate_kappa(
     Families mix Gaussian clouds (scales 0.1/1/10), planted outliers at
     magnitudes 1/1e3/1e6, and coordinate-axis spikes. A zero-dispersion
     family with a nonzero numerator is flagged as a robustness violation.
+    The honest subsets are every one if there are at most 120, else 32
+    drawn per family; a family's subsets are scored in one array pass (the
+    oracle rule is applied once per subset), and ties keep the first
+    maximum in sample and subset order.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -418,7 +423,7 @@ def estimate_kappa(
 
     all_subsets = None
     if math.comb(n, h) <= 120:
-        all_subsets = [list(s) for s in itertools.combinations(range(n), h)]
+        all_subsets = np.array(list(itertools.combinations(range(n), h)), dtype=np.intp)
 
     best = 0.0
     worst = None
@@ -446,18 +451,23 @@ def estimate_kappa(
         if all_subsets is not None:
             subsets = all_subsets
         else:
-            subsets = [sorted(gen.choice(n, size=h, replace=False).tolist()) for _ in range(32)]
-        if not spec.honest_aware:
+            subsets = np.array([np.sort(gen.choice(n, size=h, replace=False))
+                                for _ in range(32)])
+        if spec.honest_aware:
+            out = np.stack([aggregate(spec, mat, honest_ids=honest, context=context)
+                            for honest in subsets])
+        else:
             out = aggregate(spec, mat)  # honest-set blind: one output per sample
-        for honest in subsets:
-            if spec.honest_aware:
-                out = aggregate(spec, mat, honest_ids=honest, context=context)
-            r = _ratio(out, mat, honest)
-            if math.isinf(r):
-                violation = True
-            if r > best or worst is None:
-                best = min(r, math.inf)
-                worst = {"inputs": mat.tolist(), "honest_ids": list(honest)}
+        # every subset's ratio at once: (S, h, dim) stats, (S,) ratios
+        mean, disp = _honest_stats(mat, subsets)
+        dev = out - mean
+        num = np.vecdot(dev, dev)
+        r = np.divide(num, disp, out=np.where(num > 1e-24, np.inf, 0.0), where=disp != 0.0)
+        violation |= bool(np.isinf(r).any())
+        k = int(np.argmax(r))  # the first maximum, as a strict > scan keeps it
+        if r[k] > best or worst is None:
+            best = float(r[k])
+            worst = {"inputs": mat.tolist(), "honest_ids": subsets[k].tolist()}
     return RobustnessEstimate(
         kappa_hat=best, samples=samples, worst_case_input=worst, violation=violation
     )

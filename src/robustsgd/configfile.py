@@ -85,6 +85,15 @@ _SWEEP_REGISTRY = {
     "sweep.seed": ("optint", None, "sweep master seed (default run.seed)"),
 }
 
+# keys that only some rules or attacks read: key -> (selecting key, its readers)
+_READ_ONLY_BY = {
+    "aggregator.iters": ("aggregator.rule", ("gm",)),
+    "aggregator.nu": ("aggregator.rule", ("gm",)),
+    "aggregator.q": ("aggregator.rule", ("multi_krum", "cwtm")),
+    "aggregator.variant": ("aggregator.rule", ("oracle_adversarial",)),
+    "attack.alphas": ("attack.kind", ("alie",)),
+}
+
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
@@ -218,10 +227,23 @@ def _build_problem(kv: dict):
     return inst
 
 
+def _unread_keys(kv: dict) -> list:
+    """A warning for each key set away from its default (or set at all,
+    if it has none) that the configured rule or attack never reads."""
+    out = []
+    for key, (selector, readers) in _READ_ONLY_BY.items():
+        tag, default, _help = _REGISTRY[key]
+        if kv[selector] not in readers and kv[key] != (
+                None if default is None else _convert(key, tag, default)):
+            out.append(f"config key {key!r} is ignored: {selector} = {kv[selector]} "
+                       f"does not read it (read by {' / '.join(readers)} only)")
+    return out
+
+
 def materialize(kv: dict) -> LoadedConfig:
     """Build a fully validated RunConfig from resolved key values. All
     structural invariants are checked here, eagerly — not at run time."""
-    warnings: list = []
+    warnings = _unread_keys(kv)
     inst = _build_problem(kv)
     n = inst.pop.n
 

@@ -450,6 +450,85 @@ class TestStackedInputs:
             aggregate(spec, np.zeros((2, 3, 1)))
 
 
+@st.composite
+def small_int_stack(draw):
+    """An (R, n, d) stack of small integers, whose Weiszfeld iterates often
+    cycle within a few dozen rounds."""
+    R, n, d = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=R * n * d, max_size=R * n * d))
+    return np.array(entries, dtype=np.float64).reshape(R, n, d)
+
+
+def _fixed_round_gm(mat, iters=50, nu=1e-8):
+    """geometric_median as it was before it stopped at a cycle: every one of
+    the `iters` rounds is run (the loop verbatim)."""
+    v = mat.mean(axis=-2)
+    for _ in range(iters):
+        dist = np.sqrt(((mat - v[..., None, :]) ** 2).sum(axis=-1))
+        beta = 1.0 / np.maximum(nu, dist)
+        v = (beta[..., None] * mat).sum(axis=-2) / beta.sum(axis=-1, keepdims=True)
+    return v
+
+
+def _first_repeat(mat, rounds):
+    """(j, p) such that the iterate of round j + p is the first to repeat an
+    earlier one byte for byte, that of round j; None if none does within
+    `rounds` rounds. The iterates are those of _fixed_round_gm."""
+    first = {}
+    for i in range(rounds + 1):
+        j = first.setdefault(_fixed_round_gm(mat, i).tobytes(), i)
+        if j != i:
+            return j, i - j
+    return None
+
+
+# integer inputs whose Weiszfeld iterates first repeat at (j, p): the
+# iterate of round j + p equals that of round j
+PINNED_CYCLES = [
+    ([[-4.0], [6.0], [-5.0], [-2.0], [3.0]], (8, 1)),
+    ([[3.0], [-6.0], [9.0], [1.0]], (0, 2)),
+    ([[6.0, -7.0, -6.0], [9.0, 6.0, -2.0], [4.0, -8.0, 5.0], [-6.0, 4.0, 8.0],
+      [8.0, -9.0, 1.0], [8.0, -6.0, 5.0]], (46, 3)),
+    ([[0.0, -7.0, -4.0], [-6.0, -6.0, -1.0], [-8.0, -5.0, -8.0], [9.0, 9.0, 2.0],
+      [-3.0, -1.0, 9.0], [-8.0, 3.0, -7.0]], (43, 4)),
+    ([[-4.0, 1.0], [8.0, -4.0], [4.0, -6.0]], (287, 1)),  # past the default 50
+]
+
+
+class TestWeiszfeldCycleStop:
+    """geometric_median stops at the first exact repeat of its iterates and
+    reads the round-`iters` iterate off the cycle; the bytes must be those
+    of running every round."""
+
+    @given(st.one_of(stacked_case().map(lambda case: case[0]), small_int_stack()))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bitwise_equal_to_every_round(self, stack):
+        for iters in (1, 2, 3, 50, 200):
+            for mat in (stack, stack[0]):  # stacked and single input
+                assert (geometric_median(mat, iters).tobytes()
+                        == _fixed_round_gm(mat, iters).tobytes()), iters
+
+    @pytest.mark.parametrize("rows,cycle", PINNED_CYCLES)
+    def test_pinned_cycles(self, rows, cycle):
+        mat = np.array(rows)
+        j, p = cycle
+        assert _first_repeat(mat, j + p) == cycle
+        for iters in sorted({1, 2, 3, j + 1, j + p, j + p + 1, 50, j + 7 * p + 2}):
+            assert (geometric_median(mat, iters).tobytes()
+                    == _fixed_round_gm(mat, iters).tobytes()), iters
+
+    def test_cycle_ends_the_rounds(self, monkeypatch):
+        # identical rows repeat by round 2, so a million rounds cost two
+        mat = np.full((5, 3), 0.1)
+        want = _fixed_round_gm(mat, 2)
+        calls = []
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: calls.append(1) or sqrt(x))
+        out = geometric_median(mat, iters=10**6)
+        assert len(calls) <= 2
+        assert out.tobytes() == want.tobytes()
+
+
 class TestDispatchContract:
     def test_update_count_must_match(self):
         spec = AggregatorSpec(rule="average", n=4)

@@ -61,6 +61,16 @@ sweep.B_sq = 0.0,0.25
 sweep.kappa = 0.05,0.1
 """
 
+# a random-quadratic instance every rule accepts, for the unread-key warnings
+UNREAD_KEYS = """\
+problem.kind = random_quadratic
+problem.n = 6
+problem.b = 1
+problem.d = 2
+aggregator.b = 1
+run.T = 5
+"""
+
 
 # ---- config file parsing -----------------------------------------------------
 
@@ -129,6 +139,28 @@ class TestConfigParsing:
         loaded = load_run_config(_write(tmp_path / "c.cfg", text))
         assert any("1/56" in w for w in loaded.warnings)
 
+    @pytest.mark.parametrize("rule,attack,keys", [
+        ("cwm", "none", ["aggregator.iters", "aggregator.nu", "aggregator.q",
+                         "aggregator.variant", "attack.alphas"]),
+        ("cwtm", "sign_flip", ["aggregator.iters", "aggregator.nu", "aggregator.variant",
+                               "attack.alphas"]),
+        ("gm", "alie", ["aggregator.q", "aggregator.variant"]),
+        ("multi_krum", "alie", ["aggregator.iters", "aggregator.nu", "aggregator.variant"]),
+    ])
+    def test_unread_keys_warn(self, tmp_path, rule, attack, keys):
+        text = (UNREAD_KEYS + f"aggregator.rule = {rule}\nattack.kind = {attack}\n"
+                "aggregator.q = 2\naggregator.iters = 7\naggregator.nu = 3\n"
+                "aggregator.variant = variance_sign\nattack.alphas = 5\n")
+        loaded = load_run_config(_write(tmp_path / "c.cfg", text))
+        assert [w.split("'")[1] for w in loaded.warnings] == keys
+        assert all("is ignored" in w for w in loaded.warnings)
+
+    @pytest.mark.parametrize("rule", ["average", "krum", "cwm", "gm"])
+    def test_default_values_do_not_warn(self, tmp_path, rule):
+        text = (UNREAD_KEYS + f"aggregator.rule = {rule}\naggregator.iters = 50\n"
+                "aggregator.nu = 1e-8\nattack.alphas = -2, -1, -0.5, 0.5, 1, 2\n")
+        assert load_run_config(_write(tmp_path / "c.cfg", text)).warnings == []
+
 
 # ---- run command ---------------------------------------------------------
 
@@ -185,6 +217,14 @@ class TestRunCommand:
         cfg = _write(tmp_path / "c.cfg", text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
         assert "1/56" in capsys.readouterr().err
+
+    def test_unread_key_warns_and_runs(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.cfg", UNREAD_KEYS + "aggregator.rule = cwm\n"
+                     "aggregator.iters = 7\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        assert "warning: config key 'aggregator.iters' is ignored" in capsys.readouterr().err
+        assert "aggregator.iters = 7\n" in (out / "resolved.cfg").read_text()
 
 
 # ---- sweep command ---------------------------------------------------------
