@@ -60,14 +60,17 @@ def sign_flip(honest_style_gradient):
 
 
 def label_flip(sample, n_classes: int = 10):
-    """Map a sample (features, y) to (features, (C-1) - y)."""
+    """Map a sample (features, y) to (features, (C-1) - y). y is one label,
+    or an integer array of labels, each flipped, into a new array."""
     features, y = sample
-    y = int(y)
-    if not 0 <= y < n_classes:
+    y = np.asarray(int(y) if np.ndim(y) == 0 else y)
+    if y.size and not (0 <= y.min() and y.max() < n_classes):
+        bad = next(v for v in y.ravel().tolist() if not 0 <= v < n_classes)
         raise DataError(
-            f"label {y} out of range for {n_classes} classes"
+            f"label {bad} out of range for {n_classes} classes"
         )
-    return (features, (n_classes - 1) - y)
+    flipped = (n_classes - 1) - y
+    return (features, int(flipped) if flipped.ndim == 0 else flipped)
 
 
 def alie(

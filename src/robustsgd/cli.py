@@ -111,6 +111,8 @@ def cmd_sweep(args) -> int:
     out = _ensure_dir(args.out or _default_out("sweep"))
     (out / "resolved_sweep.cfg").write_text(render_config(spec.base_kv, sweep=True))
     result = run_sweep(spec)
+    for w in dict.fromkeys(w for c in result.cells for w in c.warnings):
+        print(f"warning: {w}", file=sys.stderr)
     result.cells_csv(out / "cells.csv")
     result.best_csv(out / "best.csv")
     bad = [c for c in result.cells if c.status != "ok"]

@@ -9,6 +9,7 @@ parse time. docs/config_schema.txt documents the full schema.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,8 +86,29 @@ _SWEEP_REGISTRY = {
     "sweep.seed": ("optint", None, "sweep master seed (default run.seed)"),
 }
 
-# keys that only some rules or attacks read: key -> (selecting key, its readers)
+# keys that only some problem kinds, rules or attacks read:
+# key -> (selecting key, its readers). A reader (value, key) reads it only
+# while that other key is set. problem.kappa is read for every kind
+# (materialize's momentum warning), so it is not listed.
 _READ_ONLY_BY = {
+    "problem.mu": ("problem.kind", ("hetero", "noise")),
+    "problem.G": ("problem.kind", ("hetero", "synthetic")),
+    "problem.B": ("problem.kind", ("hetero", "noise", "synthetic")),
+    "problem.sigma": ("problem.kind", ("noise", ("synthetic", "problem.noise"),
+                                       ("random_quadratic", "problem.noise"))),
+    "problem.d": ("problem.kind", ("hetero", "synthetic", "random_quadratic")),
+    "problem.n": ("problem.kind", ("synthetic", "random_quadratic", "classification")),
+    "problem.k": ("problem.kind", ("synthetic",)),
+    "problem.a": ("problem.kind", ("synthetic",)),
+    "problem.b": ("problem.kind", ("random_quadratic", "classification")),
+    "problem.noise": ("problem.kind", ("synthetic", "random_quadratic", "classification")),
+    "problem.shared_curvature": ("problem.kind", ("random_quadratic",)),
+    "problem.n_classes": ("problem.kind", ("classification",)),
+    "problem.dim": ("problem.kind", ("classification",)),
+    "problem.samples_per_class": ("problem.kind", ("classification",)),
+    "problem.alpha": ("problem.kind", ("classification",)),
+    "problem.minibatch": ("problem.kind", ("classification",)),
+    "problem.data_seed": ("problem.kind", ("random_quadratic", "classification")),
     "aggregator.iters": ("aggregator.rule", ("gm",)),
     "aggregator.nu": ("aggregator.rule", ("gm",)),
     "aggregator.q": ("aggregator.rule", ("multi_krum", "cwtm")),
@@ -181,12 +203,28 @@ class LoadedConfig:
 
 
 def _build_problem(kv: dict):
+    """The problem instance the problem.* keys describe. Instances are
+    immutable, so equal keys share one: a config set-up that materializes
+    many runs of one problem (a sweep, a benchmark's run mix) builds it once.
+    Each value is keyed with its repr, which tells -0.0 from 0.0; a build
+    that raises is not kept."""
+    return _problem_of(tuple(sorted((k, v, repr(v)) for k, v in kv.items()
+                                    if k.startswith("problem."))))
+
+
+@functools.lru_cache(maxsize=64)
+def _problem_of(items: tuple):
+    return _new_problem({k: v for k, v, _ in items})
+
+
+def _new_problem(kv: dict):
+    """Build the instance; it reads exactly the keys that _reads finds read
+    for its kind, and problem.kappa for hetero and noise."""
     kind = kv["problem.kind"]
-    d = kv["problem.d"]
     if kind == "hetero":
         return build_hetero_lower_bound(
             mu=kv["problem.mu"], G=kv["problem.G"], B=kv["problem.B"],
-            kappa=kv["problem.kappa"], d=d,
+            kappa=kv["problem.kappa"], d=kv["problem.d"],
         )
     if kind == "noise":
         return build_noise_lower_bound(
@@ -197,12 +235,12 @@ def _build_problem(kv: dict):
         n = kv["problem.n"] if kv["problem.n"] is not None else 20
         inst = build_synthetic_family(
             n=n, k=kv["problem.k"], a=kv["problem.a"],
-            G=kv["problem.G"], B=kv["problem.B"], d=d,
+            G=kv["problem.G"], B=kv["problem.B"], d=kv["problem.d"],
         )
     elif kind == "random_quadratic":
         n = kv["problem.n"] if kv["problem.n"] is not None else 8
         inst = build_random_quadratic_family(
-            n=n, d=d, rng=RngStream(kv["problem.data_seed"], 0, "instance"),
+            n=n, d=kv["problem.d"], rng=RngStream(kv["problem.data_seed"], 0, "instance"),
             b=kv["problem.b"], shared_curvature=kv["problem.shared_curvature"],
         )
     elif kind == "classification":
@@ -227,16 +265,29 @@ def _build_problem(kv: dict):
     return inst
 
 
+def _reads(kv: dict, key: str) -> bool:
+    """Whether the configured problem kind, rule or attack reads `key`."""
+    selector, readers = _READ_ONLY_BY[key]
+    return any(kv[selector] == r if isinstance(r, str)
+               else kv[selector] == r[0] and kv[r[1]] is not None for r in readers)
+
+
 def _unread_keys(kv: dict) -> list:
     """A warning for each key set away from its default (or set at all,
-    if it has none) that the configured rule or attack never reads."""
+    if it has none) that the configured problem kind, rule or attack never
+    reads."""
     out = []
     for key, (selector, readers) in _READ_ONLY_BY.items():
         tag, default, _help = _REGISTRY[key]
-        if kv[selector] not in readers and kv[key] != (
+        if _reads(kv, key) or kv[key] == (
                 None if default is None else _convert(key, tag, default)):
-            out.append(f"config key {key!r} is ignored: {selector} = {kv[selector]} "
-                       f"does not read it (read by {' / '.join(readers)} only)")
+            continue
+        where = f"{selector} = {kv[selector]}"
+        where += "".join(f" with {r[1]} unset" for r in readers
+                         if not isinstance(r, str) and r[0] == kv[selector])
+        names = [r if isinstance(r, str) else f"{r[0]} with {r[1]} set" for r in readers]
+        out.append(f"config key {key!r} is ignored: {where} does not read it "
+                   f"(read by {' / '.join(names)} only)")
     return out
 
 

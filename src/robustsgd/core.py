@@ -142,6 +142,17 @@ class WorkerPopulation:
         return sorted(self.honest_ids)
 
 
+def _words(n: int) -> list:
+    """A non-negative int as SeedSequence splits a key entry: its 32-bit
+    words, least significant first, and [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, worker, purpose).
 
@@ -156,9 +167,12 @@ class RngStream:
         self.seed = int(seed)
         self.worker = int(worker)
         self.purpose = str(purpose)
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, self.worker]
+        # the key [seed mod 2^64, worker, *utf-8 bytes of purpose] as the
+        # uint32 words SeedSequence would derive from that list
+        key = _words(self.seed & 0xFFFFFFFFFFFFFFFF) + _words(self.worker)
         key.extend(self.purpose.encode("utf-8"))
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        self._gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(np.array(key, dtype=np.uint32))))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ContractViolation,
+    DataError,
     DenseVector,
     RngStream,
     WorkerPopulation,
@@ -110,15 +111,34 @@ class Analytic:
                 )
 
 
+# Logit rows per class past which _probs takes the class maximum column by
+# column: a reduction along the short class axis costs about 0.05 us a row,
+# np.maximum about 1 us a column (2-core Xeon, NumPy 2.4).
+_COLUMN_MAX_ROWS_PER_CLASS = 24
+
+
 @dataclass(frozen=True)
 class SyntheticClassificationTask:
     """Desk-scale multinomial logistic regression on Gaussian-mixture data,
-    partitioned across workers by a per-class Dirichlet(alpha) draw."""
+    partitioned across workers by a per-class Dirichlet(alpha) draw. Every
+    label must lie in [0, n_classes), or construction raises DataError
+    naming the worker: the kernel picks each label's one-hot row by index,
+    which would wrap a negative label onto another class without a word,
+    and would stop a label past the last class only mid-run, with a bare
+    IndexError."""
 
     features: tuple        # per worker: (m_i, dim) arrays
     labels: tuple          # per worker: (m_i,) int arrays
     n_classes: int
     dim: int
+
+    def __post_init__(self):
+        y = np.concatenate(self.labels) if self.labels else np.empty(0, dtype=np.int64)
+        if y.size and not (y.min() >= 0 and y.max() < self.n_classes):
+            w = next(w for w, yw in enumerate(self.labels)
+                     if np.any((yw < 0) | (yw >= self.n_classes)))
+            raise DataError(f"worker {w}: labels must lie in [0, {self.n_classes}), "
+                            f"got {self.labels[w].min()} .. {self.labels[w].max()}")
 
     @property
     def param_dim(self) -> int:
@@ -126,36 +146,56 @@ class SyntheticClassificationTask:
         return self.n_classes * (self.dim + 1)
 
     @functools.cached_property
+    def _one_hot(self) -> np.ndarray:
+        """Row c is the one-hot encoding of class c, (n_classes, n_classes)."""
+        return np.eye(self.n_classes)
+
+    @functools.cached_property
     def shards(self):
         """The workers' shards concatenated in worker order, built on first
         use: (features (N, dim), labels (N,), start of each worker's
-        segment, its size, and each sample's shard size as an (N, 1)
-        column)."""
+        segment, its size, and each sample's shard size as an (N, 1) float
+        column, which divides as the int does without a cast per call)."""
         sizes = np.array([y.size for y in self.labels])
         return (np.concatenate(self.features), np.concatenate(self.labels),
-                np.cumsum(sizes) - sizes, sizes, np.repeat(sizes, sizes)[:, None])
+                np.cumsum(sizes) - sizes, sizes,
+                np.repeat(sizes, sizes)[:, None].astype(np.float64))
 
     def _probs(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Softmax class probabilities of the samples X (..., k, dim) under
         the flat parameters x, (..., k, n_classes), or under each row of a
         stack x (K, d), (K, ..., k, n_classes). The logits of each (k, dim)
         slice take one matmul, so a stack of batches or of parameters gives
-        every slice bitwise as a call on that batch and parameter alone."""
-        W = x.reshape(*x.shape[:-1], *(1,) * (X.ndim - 2), self.n_classes, self.dim + 1)
-        z = X @ np.swapaxes(W[..., :-1], -1, -2) + W[..., None, :, -1]
-        z = z - z.max(axis=-1, keepdims=True)
-        expz = np.exp(z)
-        return expz / expz.sum(axis=-1, keepdims=True)
+        every slice bitwise as a call on that batch and parameter alone.
 
-    @staticmethod
-    def _residual(p: np.ndarray, y: np.ndarray, m) -> np.ndarray:
+        The logits are shifted by their class maximum, exponentiated and
+        normalised in place. Past _COLUMN_MAX_ROWS_PER_CLASS rows per class
+        the maximum is taken column by column: a maximum is exact in any
+        order, and where the order picks -0.0 over +0.0 the shifted logit is
+        still a zero, whose exp is 1, so the probabilities keep their bits."""
+        W = x.reshape(*x.shape[:-1], *(1,) * (X.ndim - 2), self.n_classes, self.dim + 1)
+        z = X @ W[..., :-1].mT
+        z += W[..., None, :, -1]
+        if z.size // self.n_classes > _COLUMN_MAX_ROWS_PER_CLASS * self.n_classes:
+            top = z[..., :1].copy()
+            for c in range(1, self.n_classes):
+                np.maximum(top, z[..., c:c + 1], out=top)
+        else:
+            top = np.maximum.reduce(z, axis=-1, keepdims=True)
+        z -= top
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=-1, keepdims=True)
+        return z
+
+    def _residual(self, p: np.ndarray, y: np.ndarray, m) -> np.ndarray:
         """(p - onehot(y)) / m in place: the gradient of each batch's mean
         cross-entropy with respect to its logits, from the probabilities p
         (..., k, n_classes) of samples with labels y, (..., k) or any shape
         that broadcasts to it. m is the batch size, or an array that
-        broadcasts against p."""
-        rows = p.reshape(-1, p.shape[-1])
-        rows[np.arange(rows.shape[0]), np.broadcast_to(y, p.shape[:-1]).reshape(-1)] -= 1.0
+        broadcasts against p. Subtracting the one-hot rows' 1.0 and 0.0
+        gives the bits an indexed subtract of 1.0 gives (p - 0.0 is p);
+        __post_init__ has checked that every label picks a row."""
+        p -= self._one_hot.take(y, axis=0)
         p /= m
         return p
 
@@ -163,11 +203,12 @@ class SyntheticClassificationTask:
     def _reduce(r: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Flat parameter gradients, (..., param_dim), from the logit
         gradients r (..., k, n_classes) of the samples X (..., k, dim):
-        weights r^T X and biases summed over the batch."""
-        gW = np.swapaxes(r, -1, -2) @ X
-        gb = r.sum(axis=-2)
-        return np.concatenate([gW, gb[..., None]], axis=-1).reshape(
-            *r.shape[:-2], r.shape[-1] * (X.shape[-1] + 1))
+        weights r^T X and biases summed over the batch, written into the
+        (..., n_classes, dim + 1) rows of one array."""
+        out = np.empty((*r.shape[:-2], r.shape[-1], X.shape[-1] + 1))
+        np.matmul(r.mT, X, out=out[..., :-1])
+        out[..., -1] = np.add.reduce(r, axis=-2)
+        return out.reshape(*r.shape[:-2], r.shape[-1] * (X.shape[-1] + 1))
 
     def loss_grad(self, worker: int, x: np.ndarray, idx: Optional[np.ndarray] = None):
         """Cross-entropy loss and exact gradient on worker data (or the
@@ -186,7 +227,7 @@ class SyntheticClassificationTask:
         row r is the mean cross-entropy gradient over the samples idx[r]
         (indices into the concatenated shards), bitwise what loss_grad
         gives for the same samples of one worker."""
-        X, y = self.shards[0][idx], self.shards[1][idx]
+        X, y = self.shards[0].take(idx, axis=0), self.shards[1][idx]
         return self._reduce(self._residual(self._probs(x, X), y, idx.shape[-1]), X)
 
     def grads(self, x: np.ndarray) -> np.ndarray:
@@ -205,8 +246,17 @@ class SyntheticClassificationTask:
         if single.size:
             p[..., single, :] = self._probs(x, X[single, None])[..., 0, :]
         r = self._residual(p, y, per_sample)
-        return np.stack([self._reduce(r[..., s:s + k, :], X[s:s + k])
-                         for s, k in zip(starts, sizes)], axis=-2)
+        # a copy of r with the samples outermost: a worker's bias sum then
+        # adds whole (..., n_classes) blocks in sample order, as a reduction
+        # of its (..., k, n_classes) segment does, not one short row at a
+        # time. The products read r itself: BLAS can round a matrix read
+        # with another leading dimension differently.
+        rows = np.moveaxis(r, -2, 0).copy()
+        out = np.empty((*r.shape[:-2], sizes.size, self.n_classes, self.dim + 1))
+        for w, (s, k) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            np.matmul(r[..., s:s + k, :].mT, X[s:s + k], out=out[..., w, :, :-1])
+            out[..., w, :, -1] = np.add.reduce(rows[s:s + k], axis=0)
+        return out.reshape(*out.shape[:-2], self.param_dim)
 
 
 @dataclass(frozen=True)

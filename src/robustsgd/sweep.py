@@ -127,6 +127,7 @@ class SweepCell:
     status: str = "pending"      # ok | failed | diverged
     metric: Optional[float] = None
     error: Optional[str] = None
+    warnings: tuple = ()         # the cell config's LoadedConfig.warnings
 
 
 @dataclass
@@ -251,6 +252,7 @@ def run_cell(spec: SweepSpec, index: int, params: dict) -> SweepCell:
         kv = cell_kv(spec, params)
         kv["run.seed"] = seed
         loaded = materialize(kv)
+        cell.warnings = tuple(loaded.warnings)
         cell.metric = _metric_of(loaded.config, spec.metric)
         cell.status = "ok"
     except (ConfigurationError, DataError, NumericFailure, ContractViolation) as exc:

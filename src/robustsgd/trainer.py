@@ -309,20 +309,12 @@ def _validate(config: RunConfig) -> None:
 
 def _poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstance:
     """Copy of a classification instance with the Byzantine workers' labels
-    flipped y -> (C-1) - y; honest shards untouched."""
+    flipped y -> (C-1) - y by attacks.label_flip; honest shards untouched."""
     task = inst.task
-    C = task.n_classes
-    labels = []
-    for w in range(inst.pop.n):
-        if w in byz_ids:
-            flipped = np.array(
-                [label_flip((None, int(y)), C)[1] for y in task.labels[w]],
-                dtype=np.int64,
-            )
-            flipped.setflags(write=False)
-            labels.append(flipped)
-        else:
-            labels.append(task.labels[w])
+    labels = list(task.labels)
+    for w in byz_ids:
+        labels[w] = label_flip((None, labels[w]), task.n_classes)[1].astype(np.int64)
+        labels[w].setflags(write=False)
     return replace(inst, task=replace(task, labels=tuple(labels)))
 
 

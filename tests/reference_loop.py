@@ -15,17 +15,27 @@ every gradient the old way:
 reference_quadratic_grad (QuadraticLocal.grad), reference_local_grad
 (ProblemInstance.local_grad), reference_grad_f_H (ProblemInstance.grad_f_H)
 and reference_stochastic_gradient (problems.stochastic_gradient).
+
+The softmax kernel of SyntheticClassificationTask before it computed in
+place is kept the same way: reference_probs, reference_residual and
+reference_reduce (its _probs, _residual and _reduce) and the three entry
+points built on them, reference_loss_grad, reference_minibatch_grads and
+reference_task_grads (loss_grad, minibatch_grads and grads), with `self`
+read as `task`. reference_poisoned_instance is trainer._poisoned_instance
+as it stood with its per-sample label_flip loop, and the loop below
+poisons its shards with it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from robustsgd.aggregators import AggregatorSpec, OracleContext, aggregate
-from robustsgd.attacks import AdversaryView, AttackSpec, alie, sign_flip
+from robustsgd.attacks import AdversaryView, AttackSpec, alie, label_flip, sign_flip
 from robustsgd.core import (
     ConfigurationError,
     ContractViolation,
@@ -39,7 +49,6 @@ from robustsgd.trainer import (
     LyapunovTrace,
     RunRecord,
     ScheduleSpec,
-    _poisoned_instance,
     _validate,
     schedules,
 )
@@ -96,6 +105,102 @@ def reference_stochastic_gradient(
         xi = rng.generator.integers(0, 2, size=d)
         pert = noise.sigma / math.sqrt(d) * (1.0 - 2.0 * xi)
     return DenseVector(g + pert)
+
+
+def reference_probs(task, x: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Softmax class probabilities of the samples X (..., k, dim) under
+    the flat parameters x, (..., k, n_classes), or under each row of a
+    stack x (K, d), (K, ..., k, n_classes). The logits of each (k, dim)
+    slice take one matmul, so a stack of batches or of parameters gives
+    every slice bitwise as a call on that batch and parameter alone."""
+    W = x.reshape(*x.shape[:-1], *(1,) * (X.ndim - 2), task.n_classes, task.dim + 1)
+    z = X @ np.swapaxes(W[..., :-1], -1, -2) + W[..., None, :, -1]
+    z = z - z.max(axis=-1, keepdims=True)
+    expz = np.exp(z)
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
+def reference_residual(p: np.ndarray, y: np.ndarray, m) -> np.ndarray:
+    """(p - onehot(y)) / m in place: the gradient of each batch's mean
+    cross-entropy with respect to its logits, from the probabilities p
+    (..., k, n_classes) of samples with labels y, (..., k) or any shape
+    that broadcasts to it. m is the batch size, or an array that
+    broadcasts against p."""
+    rows = p.reshape(-1, p.shape[-1])
+    rows[np.arange(rows.shape[0]), np.broadcast_to(y, p.shape[:-1]).reshape(-1)] -= 1.0
+    p /= m
+    return p
+
+
+def reference_reduce(r: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Flat parameter gradients, (..., param_dim), from the logit
+    gradients r (..., k, n_classes) of the samples X (..., k, dim):
+    weights r^T X and biases summed over the batch."""
+    gW = np.swapaxes(r, -1, -2) @ X
+    gb = r.sum(axis=-2)
+    return np.concatenate([gW, gb[..., None]], axis=-1).reshape(
+        *r.shape[:-2], r.shape[-1] * (X.shape[-1] + 1))
+
+
+def reference_loss_grad(task, worker: int, x: np.ndarray, idx: Optional[np.ndarray] = None):
+    """Cross-entropy loss and exact gradient on worker data (or the
+    subset `idx`), as (loss, flat_grad)."""
+    X = task.features[worker]
+    y = task.labels[worker]
+    if idx is not None:
+        X, y = X[idx], y[idx]
+    p = reference_probs(task, x, X)
+    m = X.shape[0]
+    loss = float(-np.mean(np.log(p[np.arange(m), y] + 1e-300)))
+    return loss, reference_reduce(reference_residual(p, y, m), X)
+
+
+def reference_minibatch_grads(task, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Gradients of a stack of minibatches in one pass, (k, param_dim):
+    row r is the mean cross-entropy gradient over the samples idx[r]
+    (indices into the concatenated shards), bitwise what loss_grad
+    gives for the same samples of one worker."""
+    X, y = task.shards[0][idx], task.shards[1][idx]
+    return reference_reduce(reference_residual(reference_probs(task, x, X), y, idx.shape[-1]), X)
+
+
+def reference_task_grads(task, x: np.ndarray) -> np.ndarray:
+    """Full-shard gradient of every worker, (n, param_dim), in one pass
+    over the concatenated shards: row w is loss_grad(w, x)[1] bitwise.
+    The logits of all samples take one matmul, except that a one-sample
+    shard takes its own (1, dim) product, as loss_grad does; each
+    worker's gradient then reduces its own segment.
+
+    A stack of points x (K, d) gives (K, n, param_dim) in one pass,
+    slice k bitwise grads(x[k]): every product is the call that point
+    alone makes, repeated over the stack."""
+    X, y, starts, sizes, per_sample = task.shards
+    p = reference_probs(task, x, X)
+    single = starts[sizes == 1]
+    if single.size:
+        p[..., single, :] = reference_probs(task, x, X[single, None])[..., 0, :]
+    r = reference_residual(p, y, per_sample)
+    return np.stack([reference_reduce(r[..., s:s + k, :], X[s:s + k])
+                     for s, k in zip(starts, sizes)], axis=-2)
+
+
+def reference_poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstance:
+    """Copy of a classification instance with the Byzantine workers' labels
+    flipped y -> (C-1) - y; honest shards untouched."""
+    task = inst.task
+    C = task.n_classes
+    labels = []
+    for w in range(inst.pop.n):
+        if w in byz_ids:
+            flipped = np.array(
+                [label_flip((None, int(y)), C)[1] for y in task.labels[w]],
+                dtype=np.int64,
+            )
+            flipped.setflags(write=False)
+            labels.append(flipped)
+        else:
+            labels.append(task.labels[w])
+    return replace(inst, task=replace(task, labels=tuple(labels)))
 
 
 def reference_byzantine_honest_style(
@@ -180,7 +285,7 @@ def reference_run(
 
     streams = {i: RngStream(config.seed, i, "noise") for i in range(n)}
     poisoned = (
-        _poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else None
+        reference_poisoned_instance(inst, set(byz)) if attack.kind == "label_flip" else None
     )
     x = config.x0.values.copy()
     m = np.zeros((n, d))

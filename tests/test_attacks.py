@@ -85,6 +85,18 @@ class TestLabelFlip:
         assert label_flip(("f", 0), n_classes=2)[1] == 1
         assert label_flip(("f", 1), n_classes=2)[1] == 0
 
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_label_array_flips_as_each_label(self, ys):
+        y = np.array(ys, dtype=np.int64)
+        _, flipped = label_flip(("f", y), n_classes=7)
+        assert flipped.dtype == np.int64 and flipped is not y
+        assert flipped.tolist() == [label_flip(("f", v), n_classes=7)[1] for v in ys]
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_label_array_out_of_range_rejected(self, bad):
+        with pytest.raises(DataError, match=f"label {bad} out of range"):
+            label_flip(("f", np.array([0, 3, bad, 6])), n_classes=7)
+
 
 class TestAttackSpec:
     def test_unknown_kind_rejected(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from robustsgd.aggregators import RobustnessEstimate
+from robustsgd import configfile
 from robustsgd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 from robustsgd.configfile import (
     load_run_config,
@@ -162,6 +163,84 @@ class TestConfigParsing:
         assert load_run_config(_write(tmp_path / "c.cfg", text)).warnings == []
 
 
+class _Reads(dict):
+    """A dict that records the keys read by subscription."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestProblemKeys:
+    def test_equal_problem_keys_share_one_instance(self):
+        kv = resolve(parse_config_text("problem.kind = classification\nproblem.n = 4\n"))
+        first = configfile._build_problem(kv)
+        assert configfile._build_problem(dict(kv)) is first
+        # keys outside problem.* do not take part
+        assert configfile._build_problem({**kv, "run.seed": 9}) is first
+        assert configfile._build_problem({**kv, "problem.data_seed": 1}) is not first
+
+    def test_negative_zero_is_its_own_key(self):
+        kv = resolve(parse_config_text("problem.kind = synthetic\nproblem.G = 0.0\n"))
+        assert (configfile._build_problem(kv)
+                is not configfile._build_problem({**kv, "problem.G": -0.0}))
+
+    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
+        calls = []
+        real = configfile.build_synthetic_family
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(configfile, "build_synthetic_family", counted)
+        # B^2 = 4 is inadmissible for n = 20, k = 7 (needs B^2 < 7/3)
+        kv = resolve(parse_config_text(
+            "problem.kind = synthetic\nproblem.B = 2.0\nproblem.data_seed = 424242\n"))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="inadmissible B"):
+                configfile._build_problem(kv)
+        assert len(calls) == 2
+        good = {**kv, "problem.B": 0.5}
+        assert configfile._build_problem(good) is configfile._build_problem(good)
+        assert len(calls) == 3
+
+    def test_unread_problem_keys_warn(self, tmp_path):
+        text = UNREAD_KEYS + "problem.mu = 5\nproblem.k = 3\n"
+        loaded = load_run_config(_write(tmp_path / "c.cfg", text))
+        assert [w.split("'")[1] for w in loaded.warnings] == ["problem.mu", "problem.k"]
+        assert "problem.kind = random_quadratic does not read it" in loaded.warnings[0]
+
+    def test_sigma_without_a_noise_override_warns(self, tmp_path):
+        loaded = load_run_config(_write(tmp_path / "c.cfg", UNREAD_KEYS + "problem.sigma = 3\n"))
+        assert [w.split("'")[1] for w in loaded.warnings] == ["problem.sigma"]
+        assert ("problem.kind = random_quadratic with problem.noise unset does not read it"
+                in loaded.warnings[0])
+        noisy = UNREAD_KEYS + "problem.sigma = 3\nproblem.noise = gaussian\n"
+        assert load_run_config(_write(tmp_path / "n.cfg", noisy)).warnings == []
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("hetero", ""),
+        ("noise", ""),
+        ("synthetic", ""),
+        ("synthetic", "problem.noise = gaussian\n"),
+        ("random_quadratic", ""),
+        ("random_quadratic", "problem.noise = gaussian\n"),
+        ("classification", "problem.n = 3\nproblem.samples_per_class = 4\n"),
+    ])
+    def test_problem_key_readers_are_what_the_builder_reads(self, kind, extra):
+        kv = _Reads(resolve(parse_config_text(f"problem.kind = {kind}\n" + extra)))
+        configfile._new_problem(kv)
+        listed = {key for key, (selector, _) in configfile._READ_ONLY_BY.items()
+                  if selector == "problem.kind" and configfile._reads(dict(kv), key)}
+        # problem.kappa is read for every kind, by materialize
+        assert kv.read - {"problem.kind", "problem.kappa"} == listed
+
+
 # ---- run command ---------------------------------------------------------
 
 
@@ -284,6 +363,27 @@ class TestSweepCommand:
         with open(out / "best.csv", newline="") as fh:
             best = list(csv.DictReader(fh))
         assert all(float(r["kappa"]) > 0 for r in best)
+
+    def test_each_distinct_warning_prints_once(self, tmp_path, capsys):
+        # two cells of a cwm sweep, each warning about the same two keys
+        text = (UNREAD_KEYS + "aggregator.rule = cwm\naggregator.iters = 7\n"
+                "aggregator.variant = hetero_c1\nsweep.gamma0 = 0.05,0.1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", _write(tmp_path / "s.cfg", text), "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "2 cells, 0 failed" in captured.out
+        lines = [ln for ln in captured.err.splitlines() if ln.startswith("warning: ")]
+        assert [ln.split("'")[1] for ln in lines] == ["aggregator.iters", "aggregator.variant"]
+
+    def test_a_cell_warning_the_base_lacks_prints_once(self, tmp_path, capsys):
+        # kappa*B^2 = 0.5 >= 1/56 in the two cells with B^2 = 1, not in the base
+        text = ("problem.kind = hetero\nproblem.kappa = 0.5\nproblem.B = 0.0\n"
+                "schedule.momentum = tied\nschedule.gamma0 = 0.001\nrun.T = 5\n"
+                "sweep.B_sq = 0.0,1.0\nsweep.T = 5,6\n")
+        out = tmp_path / "out"
+        assert main(["sweep", _write(tmp_path / "s.cfg", text), "--out", str(out)]) == EXIT_OK
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning: ")]
+        assert len(lines) == 1 and "kappa*B^2 = 0.5 >= 1/56" in lines[0]
 
     def test_a_programming_error_in_a_cell_escapes_the_sweep(self, tmp_path, monkeypatch):
         # only the library's error classes make a failed cell; a TypeError

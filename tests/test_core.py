@@ -120,6 +120,24 @@ class TestRngStream:
             child.generator.normal(size=4), same.generator.normal(size=4)
         )
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -3])
+    @pytest.mark.parametrize("worker", [0, 1, 5, 2**32 + 1])
+    @pytest.mark.parametrize("purpose", ["noise", "données-µ"])
+    def test_key_words_equal_the_list_keyed_seed_sequence(self, seed, worker, purpose):
+        # the stream hands SeedSequence the uint32 words numpy derives from
+        # the list [seed mod 2^64, worker, *utf-8 bytes of purpose]
+        key = [seed & 0xFFFFFFFFFFFFFFFF, worker, *purpose.encode("utf-8")]
+        want = np.random.SeedSequence(key)
+        gen = RngStream(seed, worker, purpose).generator
+        assert gen.bit_generator.seed_seq.pool.tobytes() == want.pool.tobytes()
+        ref = np.random.Generator(np.random.PCG64(want))
+        assert gen.integers(0, 2**63, size=4).tobytes() == ref.integers(0, 2**63, size=4).tobytes()
+        assert gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    def test_negative_worker_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(0, -1, "noise")
+
 
 class TestRunConfig:
     def test_horizon_positive(self):

@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustsgd.core import ConfigurationError, ContractViolation, DenseVector, RngStream
+from robustsgd.core import (
+    ConfigurationError,
+    ContractViolation,
+    DataError,
+    DenseVector,
+    RngStream,
+    WorkerPopulation,
+)
 from robustsgd.problems import (
+    Analytic,
     NoiseModel,
+    ProblemInstance,
     QuadraticLocal,
     SyntheticClassificationTask,
     build_classification_task,
@@ -21,10 +30,15 @@ from robustsgd.problems import (
     stochastic_gradient,
     with_noise,
 )
+from robustsgd.trainer import _poisoned_instance
 from reference_loop import (
     reference_grad_f_H,
     reference_local_grad,
+    reference_loss_grad,
+    reference_minibatch_grads,
+    reference_poisoned_instance,
     reference_stochastic_gradient,
+    reference_task_grads,
 )
 
 pos = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -556,3 +570,65 @@ class TestSoftmaxOracle:
         for w in range(3):
             assert np.array_equal(X[starts[w]:starts[w] + sizes[w]], inst.task.features[w])
             assert np.array_equal(y[starts[w]:starts[w] + sizes[w]], inst.task.labels[w])
+
+
+@st.composite
+def kernel_cases(draw):
+    """A classification instance with drawn class count (2-12), feature dim
+    and shard sizes (one-sample shards likely), b Byzantine workers, and a
+    point x scaled so that its largest logit magnitude is about 1, 50 or
+    700: at 700 the unshifted exp overflows and the shifted one underflows."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, 30)), min_size=n, max_size=n))
+    C = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    task = SyntheticClassificationTask(
+        features=tuple(3.0 * rng.standard_normal((k, dim)) for k in sizes),
+        labels=tuple(rng.integers(0, C, size=k) for k in sizes),
+        n_classes=C, dim=dim)
+    inst = ProblemInstance(locals=(), pop=WorkerPopulation(n=n, b=draw(st.integers(0, (n - 1) // 2))),
+                           noise=NoiseModel("minibatch", m=8),
+                           analytic=Analytic(L=1.0, mu=None, G=None, B=None), task=task)
+    x = rng.standard_normal(task.param_dim)
+    W = x.reshape(C, dim + 1)
+    logits = np.concatenate(task.features) @ W[:, :-1].T + W[:, -1]
+    x *= draw(st.sampled_from([1.0, 50.0, 700.0])) / np.abs(logits).max()
+    return inst, x, rng
+
+
+class TestKernelMatchesReference:
+    """The in-place softmax kernel and the array label flip give the bytes
+    of the kernel and per-sample flip they replaced (reference_loop.py)."""
+
+    @given(kernel_cases(), st.sampled_from([1, 2, 15, 40]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_entry_points_equal_the_reference_kernel(self, case, K):
+        inst, x, rng = case
+        byz = set(inst.pop.byzantine_ids)
+        poisoned, want = _poisoned_instance(inst, byz), reference_poisoned_instance(inst, byz)
+        for got_y, want_y in zip(poisoned.task.labels, want.task.labels):
+            assert got_y.dtype == want_y.dtype and got_y.tobytes() == want_y.tobytes()
+            assert got_y.flags.writeable == want_y.flags.writeable
+        for task in (inst.task, poisoned.task):
+            _, _, starts, sizes, _ = task.shards
+            for m in (1, 8):
+                idx = starts[:, None] + np.stack([rng.integers(0, k, size=m) for k in sizes])
+                assert (task.minibatch_grads(x, idx).tobytes()
+                        == reference_minibatch_grads(task, x, idx).tobytes())
+            X = x * rng.normal(size=(K, 1)) + rng.normal(scale=np.abs(x).max(), size=(K, x.size))
+            for point in (x, X):
+                assert task.grads(point).tobytes() == reference_task_grads(task, point).tobytes()
+            for w in range(sizes.size):
+                for idx in (None, rng.integers(0, sizes[w], size=8)):
+                    loss, g = task.loss_grad(w, x, idx)
+                    ref_loss, ref = reference_loss_grad(task, w, x, idx)
+                    assert loss.hex() == ref_loss.hex() and g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_a_label_outside_the_classes_is_a_data_error(self, bad):
+        # indexing would wrap -1 onto class 2 and fail on 3 only mid-run
+        with pytest.raises(DataError, match=r"worker 1: labels must lie in \[0, 3\)"):
+            SyntheticClassificationTask(
+                features=(np.zeros((2, 1)), np.zeros((2, 1))),
+                labels=(np.array([0, 2]), np.array([1, bad])), n_classes=3, dim=1)
