@@ -202,15 +202,22 @@ def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.n
 # oracle-adversarial rules (honest-set aware)
 
 
-def _honest_stats(mat: np.ndarray, honest: Sequence[int]):
+def _honest_stats(mat: np.ndarray, honest: np.ndarray):
     """Honest mean (..., d) and dispersion (...) of an (..., n, d) stack;
     an (S, h) index array gives S honest subsets of an (n, d) input, with
     mean (S, d) and dispersion (S,). np.add.reduce(...) / h is bitwise
-    what .mean computes."""
-    hm = np.take(mat, honest, axis=-2)  # C order, as each row alone
+    what .mean computes. An honest set of every row in order reads mat
+    itself, which is what np.take would copy."""
+    n = mat.shape[-2]
+    if honest.ndim == 1 and honest.size == n and honest.tolist() == list(range(n)):
+        hm = mat
+    else:
+        hm = np.take(mat, honest, axis=-2)  # C order, as each row alone
     h = hm.shape[-2]
     mean = np.add.reduce(hm, axis=-2) / h
-    disp = np.add.reduce(((hm - mean[..., None, :]) ** 2).sum(axis=-1), axis=-1) / h
+    dev = hm - mean[..., None, :]
+    dev *= dev
+    disp = np.add.reduce(np.add.reduce(dev, axis=-1), axis=-1) / h
     return mean, disp
 
 
@@ -318,7 +325,7 @@ def oracle_adversarial(
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericFailure(f"{what} entries must be finite")
 
 

@@ -38,7 +38,9 @@ class AdversaryView:
     """What an omniscient adversary gets to see in one iteration: every
     honest update (aligned with honest_ids order, as DenseVectors or as the
     rows of an (h, d) array), the server's aggregator, and the current
-    model (a DenseVector or a (d,) array)."""
+    model (a DenseVector or a (d,) array). honest_ids may be an integer
+    ndarray, used as it is (the training loop passes a sorted one), or any
+    other sequence of ints."""
 
     honest_updates: Union[Sequence[DenseVector], np.ndarray]
     honest_ids: Sequence[int]
@@ -90,6 +92,12 @@ def alie(
     view.server_output. With zero honest dispersion every candidate
     collapses to mu, the attack is inert and nothing is recorded.
 
+    Cost: one stacked aggregate call, the only rule evaluation; around it
+    whole-array work only. The probe stack is built with index arrays, and
+    all candidates are scored at once, each score sqrt(np.vecdot(dev, dev))
+    (np.dot's loop per row, bitwise a per-candidate np.dot); argmax
+    returns the first maximum, which is the tie rule above.
+
     The crafted vector comes back as a (d,) array when the honest updates
     are an (h, d) array, and as a DenseVector otherwise.
     """
@@ -103,33 +111,30 @@ def alie(
         raise ConfigurationError("alie needs at least one honest update")
     box = np.asarray if stacked else DenseVector
     hmat = np.ascontiguousarray(honest, dtype=np.float64) if stacked else as_matrix(honest)
-    mu = hmat.mean(axis=0)
-    sigma_dev = math.sqrt(float(((hmat - mu) ** 2).sum()))
+    # np.add.reduce(...) / h is bitwise .mean, and np.add.reduce(..., None) .sum()
+    mu = np.add.reduce(hmat, axis=0) / hmat.shape[0]
+    dev = hmat - mu
+    dev *= dev
+    sigma_dev = math.sqrt(float(np.add.reduce(dev, axis=None)))
     if sigma_dev == 0.0:
         return box(mu)
 
-    honest_ids = [int(i) for i in view.honest_ids]
-    byz_ids = sorted(set(range(view.n)) - set(honest_ids))
+    ids = np.asarray(view.honest_ids, dtype=np.intp)
     spec = view.aggregator
     probes = mu + np.asarray(cands, dtype=np.float64)[:, None] * sigma_dev
-    if not np.all(np.isfinite(probes)):
+    if not np.logical_and.reduce(np.isfinite(probes), axis=None):
         raise NumericFailure("alie candidate submissions must be finite")
+    # every slot holds the probe, then the honest slots their updates
     stack = np.empty((len(cands), view.n, hmat.shape[1]))
-    stack[:, honest_ids] = hmat
-    stack[:, byz_ids] = probes[:, None, :]
+    stack[...] = probes[:, None, :]
+    stack[:, ids] = hmat
     outs = aggregate(
         spec,
         stack,
-        honest_ids=honest_ids if spec.honest_aware else None,
+        honest_ids=np.sort(ids) if spec.honest_aware else None,
         context=view.context,
     )
-    best = 0
-    best_score = -1.0
-    for r, out in enumerate(outs):
-        dev = out - mu
-        score = math.sqrt(float(np.dot(dev, dev)))
-        if score > best_score:
-            best_score = score
-            best = r
+    dev = outs - mu
+    best = int(np.sqrt(np.vecdot(dev, dev)).argmax())
     view.server_output = outs[best]
     return box(probes[best])

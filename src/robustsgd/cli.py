@@ -150,11 +150,10 @@ def cmd_estimate_kappa(args) -> int:
 def cmd_certify(args) -> int:
     loaded = load_run_config(args.instance)
     res = certify_dissimilarity(loaded.config.problem, args.G, args.B)
-    margin = res.margin if math.isfinite(res.margin) else repr(res.margin)
-    payload = {"status": res.status, "margin": margin}
+    payload = {"status": res.status, "margin": res.margin}
     if res.witness is not None:
         payload["witness"] = list(res.witness.values)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
     return EXIT_OK if res.passed else EXIT_VERIFY
 
 

@@ -44,7 +44,7 @@ _REGISTRY = {
     "problem.k": ("int", "7", "paired-worker count of the synthetic family"),
     "problem.a": ("float", "1.0", "base curvature of the synthetic family"),
     "problem.b": ("int", "0", "Byzantine worker count (random_quadratic/classification)"),
-    "problem.noise": ("optstr", None, "noise override: none | gaussian | bernoulli_pm (not classification)"),
+    "problem.noise": ("optstr", None, "noise override: none | gaussian | bernoulli_pm (not noise/classification)"),
     "problem.shared_curvature": ("bool", "false", "random_quadratic: honest locals share curvature"),
     "problem.n_classes": ("int", "10", "classification: class count"),
     "problem.dim": ("int", "8", "classification: feature dimension"),
@@ -94,14 +94,16 @@ _READ_ONLY_BY = {
     "problem.mu": ("problem.kind", ("hetero", "noise")),
     "problem.G": ("problem.kind", ("hetero", "synthetic")),
     "problem.B": ("problem.kind", ("hetero", "noise", "synthetic")),
-    "problem.sigma": ("problem.kind", ("noise", ("synthetic", "problem.noise"),
+    "problem.sigma": ("problem.kind", ("noise", ("hetero", "problem.noise"),
+                                       ("synthetic", "problem.noise"),
                                        ("random_quadratic", "problem.noise"))),
     "problem.d": ("problem.kind", ("hetero", "synthetic", "random_quadratic")),
     "problem.n": ("problem.kind", ("synthetic", "random_quadratic", "classification")),
     "problem.k": ("problem.kind", ("synthetic",)),
     "problem.a": ("problem.kind", ("synthetic",)),
     "problem.b": ("problem.kind", ("random_quadratic", "classification")),
-    "problem.noise": ("problem.kind", ("synthetic", "random_quadratic", "classification")),
+    "problem.noise": ("problem.kind", ("hetero", "synthetic", "random_quadratic",
+                                       "classification")),
     "problem.shared_curvature": ("problem.kind", ("random_quadratic",)),
     "problem.n_classes": ("problem.kind", ("classification",)),
     "problem.dim": ("problem.kind", ("classification",)),
@@ -222,16 +224,16 @@ def _new_problem(kv: dict):
     for its kind, and problem.kappa for hetero and noise."""
     kind = kv["problem.kind"]
     if kind == "hetero":
-        return build_hetero_lower_bound(
+        inst = build_hetero_lower_bound(
             mu=kv["problem.mu"], G=kv["problem.G"], B=kv["problem.B"],
             kappa=kv["problem.kappa"], d=kv["problem.d"],
         )
-    if kind == "noise":
+    elif kind == "noise":
         return build_noise_lower_bound(
             mu=kv["problem.mu"], B=kv["problem.B"], sigma=kv["problem.sigma"],
             kappa=kv["problem.kappa"],
         )
-    if kind == "synthetic":
+    elif kind == "synthetic":
         n = kv["problem.n"] if kv["problem.n"] is not None else 20
         inst = build_synthetic_family(
             n=n, k=kv["problem.k"], a=kv["problem.a"],

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
+from .attacks import label_flip
 from .core import (
     ConfigurationError,
     ContractViolation,
@@ -320,6 +321,27 @@ class ProblemInstance:
         slot = {id(loc): j for j, loc in enumerate(distinct)}
         return (np.stack([loc.a for loc in distinct]), np.stack([loc.c for loc in distinct]),
                 np.array([slot[id(loc)] for loc in honest], dtype=np.intp))
+
+    @functools.cached_property
+    def _honest_task(self) -> SyntheticClassificationTask:
+        """The classification task cut down to the honest workers' shards, in
+        honest order: its grads(x) is the honest rows of task.grads(x),
+        bitwise, from one pass over the honest samples alone."""
+        ids = self.pop.honest_sorted()
+        return replace(self.task, features=tuple(self.task.features[i] for i in ids),
+                       labels=tuple(self.task.labels[i] for i in ids))
+
+    @functools.cached_property
+    def _poisoned(self) -> "ProblemInstance":
+        """Copy of a classification instance with the Byzantine workers'
+        labels flipped y -> (C-1) - y by attacks.label_flip; honest shards
+        untouched."""
+        task = self.task
+        labels = list(task.labels)
+        for w in self.pop.byzantine_ids:
+            labels[w] = label_flip((None, labels[w]), task.n_classes)[1].astype(np.int64)
+            labels[w].setflags(write=False)
+        return replace(self, task=replace(task, labels=tuple(labels)))
 
     def f_H(self, x: Union[DenseVector, np.ndarray]):
         """Honest average objective at x, a DenseVector or a (d,) array (a

@@ -30,13 +30,13 @@ pass per chunk of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .aggregators import AggregatorSpec, OracleContext, aggregate
-from .attacks import AdversaryView, AttackSpec, alie, label_flip, sign_flip
+from .attacks import AdversaryView, AttackSpec, alie, sign_flip
 from .core import (
     ConfigurationError,
     DenseVector,
@@ -307,17 +307,6 @@ def _validate(config: RunConfig) -> None:
             )
 
 
-def _poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstance:
-    """Copy of a classification instance with the Byzantine workers' labels
-    flipped y -> (C-1) - y by attacks.label_flip; honest shards untouched."""
-    task = inst.task
-    labels = list(task.labels)
-    for w in byz_ids:
-        labels[w] = label_flip((None, labels[w]), task.n_classes)[1].astype(np.int64)
-        labels[w].setflags(write=False)
-    return replace(inst, task=replace(task, labels=tuple(labels)))
-
-
 def _byzantine_honest_style(
     oracle: ProblemInstance, x: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
@@ -365,14 +354,6 @@ def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
         else:
             out[:, w] = s * (1.0 - 2.0 * gen.integers(0, 2, size=(steps, d)))
     return out
-
-
-def _honest_task(task, honest):
-    """The classification task cut down to the honest workers' shards, in
-    honest order: its grads(x) is the honest rows of task.grads(x), bitwise,
-    from one pass over the honest samples alone."""
-    return replace(task, features=tuple(task.features[i] for i in honest),
-                   labels=tuple(task.labels[i] for i in honest))
 
 
 # Iterates per stacked oracle call in a block's metrics pass under minibatch
@@ -426,8 +407,10 @@ def run(config: RunConfig) -> RunRecord:
     """Execute T iterations of the aggregation loop and record metrics.
 
     The loop keeps every worker's momentum as the rows of one (n, d)
-    matrix. One call of ProblemInstance.grads per step, at the new iterate,
-    gives the next step's exact gradients. Each worker's noise comes from
+    matrix, updated in place; under ALIE it holds the honest rows only,
+    (h, d), since the crafted slots keep none. One call of
+    ProblemInstance.grads per step, at the new iterate, gives the next
+    step's exact gradients. Each worker's noise comes from
     blocks drawn ahead from its own (seed, worker, "noise") stream, bitwise
     the draws a per-step oracle would make: perturbations added to the exact
     gradients, or, under minibatch noise, sample indices whose gradients
@@ -481,16 +464,12 @@ def run(config: RunConfig) -> RunRecord:
                    for w in (honest.tolist() if crafted else range(n))}
     # the shards every worker reads, label-poisoned for the Byzantine ones
     # under label_flip; its honest rows are inst's, so its grads give f_H's too
-    oracle = (
-        _poisoned_instance(inst, set(pop.byzantine_ids))
-        if attack.kind == "label_flip" else inst
-    )
+    oracle = inst._poisoned if attack.kind == "label_flip" else inst
     byz_rows = byz.size > 0 and not crafted
-    needs_context = crafted or agg.honest_aware
     x_star = inst.analytic.x_star
 
-    x = config.x0.values.copy()
-    m = np.zeros((n, d))
+    # under ALIE the Byzantine slots keep no momentum: m holds the honest rows
+    m = np.zeros((honest.size if crafted else n, d))
 
     f_star = None
     if x_star is not None:
@@ -505,13 +484,14 @@ def run(config: RunConfig) -> RunRecord:
         gamma=np.empty(T), beta=np.empty(T), xs=np.empty((T + 1, d)),
     )
     xs, gammas, betas = record.xs, record.gamma, record.beta
-    xs[0] = x
+    xs[0] = config.x0.values
+    x = xs[0]
     # what the metrics pass reads: under minibatch noise the honest shards'
     # oracle, evaluated there at the recorded iterates; otherwise the honest
     # rows of each step's exact gradients
     honest_grads = G = gH_block = None
     if minibatch:
-        honest_grads = _honest_task(inst.task, honest).grads
+        honest_grads = inst._honest_task.grads
     else:
         gH_block = np.empty((min(_NOISE_BLOCK, T), honest.size, d))
         G = oracle.grads(x)  # exact gradients at x^{t-1}
@@ -523,7 +503,7 @@ def run(config: RunConfig) -> RunRecord:
             for t in range(1, T + 1):
                 gamma, beta = schedules(t, sched, T, L=L)
                 context = None
-                if needs_context:
+                if agg.honest_aware:  # only the oracle rules read it
                     context = OracleContext(x=x, x_star=x_star, instance=inst)
 
                 k = (t - 1) % _NOISE_BLOCK
@@ -540,22 +520,23 @@ def run(config: RunConfig) -> RunRecord:
                     g = G + block[k]
                 else:
                     g = G
-                if crafted:
-                    m[honest] = beta * m[honest] + (1.0 - beta) * g[honest]
-                else:
-                    m = beta * m + (1.0 - beta) * g
+                m *= beta
+                m += (1.0 - beta) * (g[honest] if crafted else g)
 
                 U = m
                 agg_out = None
                 if crafted:
                     view = AdversaryView(
-                        honest_updates=m[honest], honest_ids=honest, aggregator=agg,
+                        honest_updates=m, honest_ids=honest, aggregator=agg,
                         x=x, n=n, context=context,
                     )
-                    U = m.copy()
-                    U[byz] = alie(view, attack.candidate_alphas)
+                    submitted = alie(view, attack.candidate_alphas)
                     # alie's probe already aggregated exactly this input
                     agg_out = view.server_output
+                    if agg_out is None:
+                        U = np.empty((n, d))
+                        U[honest] = m
+                        U[byz] = submitted
                 elif byz_rows and attack.kind == "sign_flip":
                     U = m.copy()
                     U[byz] = sign_flip(m[byz])
@@ -567,11 +548,10 @@ def run(config: RunConfig) -> RunRecord:
                         context=context,
                     )
 
-                x = x - gamma * agg_out
-                xs[t] = x
+                x = np.subtract(x, gamma * agg_out, out=xs[t])
                 gammas[t - 1] = gamma
                 betas[t - 1] = beta
-                if not np.isfinite(x).all():
+                if not np.logical_and.reduce(np.isfinite(x)):
                     raise NumericFailure("non-finite iterate", column="iterate")
                 if not minibatch:
                     G = oracle.grads(x)

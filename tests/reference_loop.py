@@ -21,21 +21,30 @@ place is kept the same way: reference_probs, reference_residual and
 reference_reduce (its _probs, _residual and _reduce) and the three entry
 points built on them, reference_loss_grad, reference_minibatch_grads and
 reference_task_grads (loss_grad, minibatch_grads and grads), with `self`
-read as `task`. reference_poisoned_instance is trainer._poisoned_instance
-as it stood with its per-sample label_flip loop, and the loop below
-poisons its shards with it.
+read as `task`. reference_poisoned_instance is the label-poisoned copy
+(trainer._poisoned_instance then, ProblemInstance._poisoned now) as it
+stood with its per-sample label_flip loop, and the loop below poisons its
+shards with it. reference_alie is attacks.alie as it stood with its Python
+scoring loop and list-indexed probe stack, and the loop crafts its ALIE
+submissions with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from robustsgd.aggregators import AggregatorSpec, OracleContext, aggregate
-from robustsgd.attacks import AdversaryView, AttackSpec, alie, label_flip, sign_flip
+from robustsgd.attacks import (
+    DEFAULT_ALIE_CANDIDATES,
+    AdversaryView,
+    AttackSpec,
+    label_flip,
+    sign_flip,
+)
 from robustsgd.core import (
     ConfigurationError,
     ContractViolation,
@@ -43,6 +52,7 @@ from robustsgd.core import (
     NumericFailure,
     RngStream,
     RunConfig,
+    as_matrix,
 )
 from robustsgd.problems import ProblemInstance
 from robustsgd.trainer import (
@@ -203,6 +213,68 @@ def reference_poisoned_instance(inst: ProblemInstance, byz_ids) -> ProblemInstan
     return replace(inst, task=replace(task, labels=tuple(labels)))
 
 
+def reference_alie(
+    view: AdversaryView, candidate_alphas: Optional[Sequence[float]] = None
+) -> Union[DenseVector, np.ndarray]:
+    """Craft the common Byzantine submission mu + alpha*sigma_dev, where mu
+    is the honest mean, sigma_dev = sqrt(sum_H ||x_i - mu||^2) (total squared
+    deviation over honest workers, not averaged), and the scalar
+    alpha*sigma_dev is added to every coordinate.
+
+    alpha is chosen greedily by one probe of the server's actual rule: the
+    (len(candidates), n, d) stack holding the honest updates and, in every
+    Byzantine slot, one candidate vector per row is aggregated in a single
+    call, and the candidate maximizing ||A(...) - mu|| wins. Ties go to the
+    first candidate in listed order. The winning row of that call is the
+    server's output on the crafted input; it is recorded as
+    view.server_output. With zero honest dispersion every candidate
+    collapses to mu, the attack is inert and nothing is recorded.
+
+    The crafted vector comes back as a (d,) array when the honest updates
+    are an (h, d) array, and as a DenseVector otherwise.
+    """
+    cands = tuple(candidate_alphas) if candidate_alphas is not None else DEFAULT_ALIE_CANDIDATES
+    if not cands:
+        raise ConfigurationError("alie needs a nonempty candidate set")
+    view.server_output = None
+    honest = view.honest_updates
+    stacked = isinstance(honest, np.ndarray)
+    if len(honest) == 0:
+        raise ConfigurationError("alie needs at least one honest update")
+    box = np.asarray if stacked else DenseVector
+    hmat = np.ascontiguousarray(honest, dtype=np.float64) if stacked else as_matrix(honest)
+    mu = hmat.mean(axis=0)
+    sigma_dev = math.sqrt(float(((hmat - mu) ** 2).sum()))
+    if sigma_dev == 0.0:
+        return box(mu)
+
+    honest_ids = [int(i) for i in view.honest_ids]
+    byz_ids = sorted(set(range(view.n)) - set(honest_ids))
+    spec = view.aggregator
+    probes = mu + np.asarray(cands, dtype=np.float64)[:, None] * sigma_dev
+    if not np.all(np.isfinite(probes)):
+        raise NumericFailure("alie candidate submissions must be finite")
+    stack = np.empty((len(cands), view.n, hmat.shape[1]))
+    stack[:, honest_ids] = hmat
+    stack[:, byz_ids] = probes[:, None, :]
+    outs = aggregate(
+        spec,
+        stack,
+        honest_ids=honest_ids if spec.honest_aware else None,
+        context=view.context,
+    )
+    best = 0
+    best_score = -1.0
+    for r, out in enumerate(outs):
+        dev = out - mu
+        score = math.sqrt(float(np.dot(dev, dev)))
+        if score > best_score:
+            best_score = score
+            best = r
+    view.server_output = outs[best]
+    return box(probes[best])
+
+
 def reference_byzantine_honest_style(
     inst: ProblemInstance, worker: int, x: DenseVector, stream: RngStream
 ) -> DenseVector:
@@ -335,7 +407,7 @@ def reference_run(
                         x=X, x_star=inst.analytic.x_star, instance=inst
                     ),
                 )
-                crafted = alie(view, attack.candidate_alphas)
+                crafted = reference_alie(view, attack.candidate_alphas)
                 for j in byz:
                     updates[j] = crafted
                 # alie's probe already aggregated exactly this input

@@ -15,6 +15,7 @@ from robustsgd.attacks import (
     sign_flip,
 )
 from robustsgd.core import ConfigurationError, DataError, DenseVector
+from reference_loop import reference_alie
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -266,6 +267,68 @@ class TestAlie:
                              x=DenseVector([0.0]), n=2)
         with pytest.raises(ConfigurationError, match="at least one honest"):
             alie(view)
+
+
+@st.composite
+def alie_cases(draw):
+    """An ALIE probe: b Byzantine slots among n workers, honest ids in a
+    drawn order (sorted or not, rarely contiguous), honest rows spread,
+    rounded so that coordinates tie, or all equal (zero dispersion), and
+    the default candidates, drawn ones, or a symmetric pair of large ones,
+    which rules that ignore far outliers score as an exact tie."""
+    b = draw(st.integers(1, 3))
+    n = 2 * b + draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    ids = draw(st.permutations(range(n)))[: n - b]
+    if draw(st.booleans()):
+        ids = sorted(ids)
+    rows = np.array(draw(st.lists(coord, min_size=(n - b) * d, max_size=(n - b) * d)))
+    rows = rows.reshape(n - b, d)
+    shape = draw(st.sampled_from(["spread", "ties", "flat"]))
+    if shape == "ties":
+        rows = np.round(rows / 1e5)
+    elif shape == "flat":
+        rows = np.repeat(np.round(rows[:1]), n - b, axis=0)  # an exact mean
+    cands = draw(st.one_of(
+        st.none(),
+        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6).map(tuple),
+        st.floats(10.0, 50.0).map(lambda a: (a, -a)),
+    ))
+    # integer rows have exact means: they are inert iff all equal
+    inert = None if shape == "spread" else bool((rows == rows[0]).all())
+    return rows, ids, cands, n, b, inert
+
+
+class TestAlieMatchesReference:
+    """alie gives the bytes of the scoring loop it replaced
+    (reference_loop.reference_alie), for every rule."""
+
+    @given(alie_cases(), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_crafted_vector_and_server_output_equal_the_reference(self, case, as_array):
+        rows, ids, cands, n, b, inert = case
+        d = rows.shape[1]
+        ctx = OracleContext(x=DenseVector(np.linspace(1.0, 2.0, d)),
+                            x_star=DenseVector(np.zeros(d)))
+        for spec in _alie_specs(n, b):
+            got = []
+            for fn in (alie, reference_alie):
+                if as_array:
+                    view = AdversaryView(honest_updates=rows.copy(),
+                                         honest_ids=np.array(ids, dtype=np.intp),
+                                         aggregator=spec, x=ctx.x, n=n, context=ctx)
+                else:
+                    view = _view(rows.tolist(), n=n, rule_spec=spec, honest_ids=list(ids),
+                                 context=ctx)
+                crafted = fn(view, cands)
+                assert isinstance(crafted, np.ndarray if as_array else DenseVector)
+                crafted = crafted if as_array else crafted.values
+                out = view.server_output
+                got.append((crafted.dtype, crafted.shape, crafted.tobytes(),
+                            None if out is None else (out.dtype, out.shape, out.tobytes())))
+            assert got[0] == got[1], spec.rule
+            if inert is not None:
+                assert (got[0][3] is None) == inert
 
 
 class TestArrayInputs:

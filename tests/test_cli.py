@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from robustsgd.configfile import (
     resolve,
 )
 from robustsgd.core import ConfigurationError
+from robustsgd.problems import NoiseModel
 from robustsgd.sweep import (
     SweepCell,
     SweepResult,
@@ -26,6 +28,7 @@ from robustsgd.sweep import (
     load_sweep,
     run_cell,
 )
+from test_tracer_sites import workloads  # perfbench/workloads.py, loaded from perfbench/
 
 
 def _write(path, text):
@@ -223,8 +226,14 @@ class TestProblemKeys:
         noisy = UNREAD_KEYS + "problem.sigma = 3\nproblem.noise = gaussian\n"
         assert load_run_config(_write(tmp_path / "n.cfg", noisy)).warnings == []
 
+    def test_hetero_takes_the_noise_override(self, tmp_path):
+        loaded = load_run_config(_write(tmp_path / "c.cfg", NOISY_RUN))
+        assert loaded.warnings == []
+        assert loaded.config.problem.noise == NoiseModel("gaussian", 0.3)
+
     @pytest.mark.parametrize("kind,extra", [
         ("hetero", ""),
+        ("hetero", "problem.noise = gaussian\n"),
         ("noise", ""),
         ("synthetic", ""),
         ("synthetic", "problem.noise = gaussian\n"),
@@ -441,6 +450,8 @@ class TestVerifyCommand:
         payload = json.loads(sep.strip() + tail)
         assert payload["passed"] is True
         assert all(row["passed"] for row in payload["rows"])
+        # the benchmark's verify op reads this same stdout with its own parser
+        assert workloads.verify_json(stdout) == payload
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):  # argparse rejects a bad choice itself
@@ -524,6 +535,18 @@ class TestToolCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "fail"
         assert "witness" in payload
+
+    def test_certify_unbounded_margin_prints_strict_json(self, tmp_path, capsys):
+        # B below the instance's slope: the violation grows without bound
+        def no_constants(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        cfg = _write(tmp_path / "c.cfg", "problem.kind = hetero\n")
+        rc = main(["certify", "--instance", cfg, "--G", "1.0", "--B", "0.1"])
+        assert rc == EXIT_VERIFY
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert payload["status"] == "fail" and payload["margin"] is None
+        assert all(math.isfinite(v) for v in payload["witness"])
 
 
 # ---- exit codes and process entry -------------------------------------------

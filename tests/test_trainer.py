@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,17 @@ import pytest
 import robustsgd.trainer as trainer
 from robustsgd.aggregators import AggregatorSpec
 from robustsgd.attacks import AttackSpec
-from robustsgd.core import ConfigurationError, DenseVector, NumericFailure, RngStream, RunConfig
+from robustsgd.core import (
+    ConfigurationError,
+    DenseVector,
+    NumericFailure,
+    RngStream,
+    RunConfig,
+    WorkerPopulation,
+)
 from robustsgd.problems import (
     NoiseModel,
+    SyntheticClassificationTask,
     build_classification_task,
     build_hetero_lower_bound,
     build_noise_lower_bound,
@@ -431,7 +440,7 @@ class TestHonestShards:
                                          samples_per_class=samples_per_class, seed=3,
                                          alpha=0.3)
         ids = np.array(honest, dtype=np.intp)
-        cut = trainer._honest_task(inst.task, ids)
+        cut = replace(inst, pop=WorkerPopulation(n=6, b=2, honest_ids=honest))._honest_task
         for x in np.random.default_rng(samples_per_class).normal(size=(5, inst.dim)) * 3.0:
             assert cut.grads(x).tobytes() == inst.task.grads(x)[ids].tobytes()
 
@@ -454,6 +463,24 @@ class TestHonestShards:
         finally:
             tracemalloc.stop()
         assert peak < 14.2 * 2**20
+
+    def test_two_runs_of_one_instance_build_each_derived_task_once(self, monkeypatch):
+        # the honest-shard task and the label-poisoned copy are kept on the
+        # instance: the first run builds one task each, the second none
+        inst = build_classification_task(n_workers=6, b=2, n_classes=3, dim=2,
+                                         samples_per_class=5, seed=1, minibatch=4)
+        cfg = _cfg(inst, rule="cwm", T=3, x0=0.0,
+                   attack=AttackSpec(kind="label_flip", byzantine_ids=inst.pop.byzantine_ids))
+        built = []
+        check = SyntheticClassificationTask.__post_init__
+        monkeypatch.setattr(SyntheticClassificationTask, "__post_init__",
+                            lambda task: built.append(task) or check(task))
+        first = run(cfg)
+        assert len(built) == 2
+        assert {id(t) for t in built} == {id(inst._honest_task), id(inst._poisoned.task)}
+        second = run(cfg)
+        assert len(built) == 2
+        assert second.xs.tobytes() == first.xs.tobytes()
 
 
 class TestAttackIntegration:
@@ -491,9 +518,7 @@ class TestAttackIntegration:
     def test_label_flip_poisons_byzantine_shards_only(self):
         inst = build_classification_task(n_workers=4, b=1, n_classes=5, dim=4,
                                          samples_per_class=8)
-        from robustsgd.trainer import _poisoned_instance
-
-        poisoned = _poisoned_instance(inst, {3})
+        poisoned = inst._poisoned
         for w in range(3):
             assert np.array_equal(poisoned.task.labels[w], inst.task.labels[w])
         assert np.array_equal(poisoned.task.labels[3],
@@ -517,9 +542,7 @@ class TestAttackIntegration:
         inst = with_noise(build_classification_task(n_workers=4, b=1, n_classes=3, dim=2,
                                                     samples_per_class=8),
                           NoiseModel(kind, sigma=1.0))
-        from robustsgd.trainer import _poisoned_instance
-
-        src = _poisoned_instance(inst, {3}) if attack == "label_flip" else inst
+        src = inst._poisoned if attack == "label_flip" else inst
         gamma, seed = 0.1, 5
         x0 = np.linspace(-0.5, 0.5, inst.dim)
         cfg = _cfg(inst, T=1, x0=x0, seed=seed,
