@@ -55,7 +55,6 @@ from .trainer import (
     RunRecord,
     ScheduleSpec,
     lyapunov_trace,
-    measure_floor,
     pl_schedule_for_momentum,
     pl_schedule_for_plain,
     run,
@@ -87,7 +86,7 @@ __all__ = [
     "build_synthetic_family", "certify_dissimilarity",
     "with_noise",
     "SweepResult", "SweepSpec", "load_sweep", "run_sweep",
-    "LyapunovTrace", "RunRecord", "ScheduleSpec", "lyapunov_trace", "measure_floor",
+    "LyapunovTrace", "RunRecord", "ScheduleSpec", "lyapunov_trace",
     "pl_schedule_for_momentum", "pl_schedule_for_plain", "run",
     "run_noise_floor_replicates", "schedules",
     "track_lyapunov",

@@ -301,7 +301,7 @@ def oracle_adversarial(
         x = float(xv[0])
         mu = inst.analytic.mu
         B = inst.analytic.B
-        grads = inst.grads(xv)[honest, 0]
+        grads = inst.honest_grads(xv)[:, 0]
         resid = mat[..., honest, 0] - grads
         if np.any(np.abs(np.abs(resid) - sigma) > 1e-6 * max(1.0, sigma)):
             raise ConfigurationError(

@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     report = run_verification(args.suite)
     print(report.render())
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(_json_safe(report.to_json()), indent=2))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

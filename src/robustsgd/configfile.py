@@ -88,8 +88,9 @@ _SWEEP_REGISTRY = {
 
 # keys that only some problem kinds, rules or attacks read:
 # key -> (selecting key, its readers). A reader (value, key) reads it only
-# while that other key is set. problem.kappa is read for every kind
-# (materialize's momentum warning), so it is not listed.
+# while that other key is set to a noisy kind, not unset and not none.
+# problem.kappa is read for every kind (materialize's momentum warning), so
+# it is not listed.
 _READ_ONLY_BY = {
     "problem.mu": ("problem.kind", ("hetero", "noise")),
     "problem.G": ("problem.kind", ("hetero", "synthetic")),
@@ -261,9 +262,8 @@ def _new_problem(kv: dict):
     else:
         raise ConfigurationError(f"config key 'problem.kind': unknown kind {kind!r}")
     if kv["problem.noise"] is not None:
-        inst = with_noise(
-            inst, NoiseModel(kind=kv["problem.noise"], sigma=kv["problem.sigma"])
-        )
+        sigma = kv["problem.sigma"] if _reads(kv, "problem.sigma") else 0.0
+        inst = with_noise(inst, NoiseModel(kind=kv["problem.noise"], sigma=sigma))
     return inst
 
 
@@ -271,7 +271,8 @@ def _reads(kv: dict, key: str) -> bool:
     """Whether the configured problem kind, rule or attack reads `key`."""
     selector, readers = _READ_ONLY_BY[key]
     return any(kv[selector] == r if isinstance(r, str)
-               else kv[selector] == r[0] and kv[r[1]] is not None for r in readers)
+               else kv[selector] == r[0] and kv[r[1]] not in (None, "none")
+               for r in readers)
 
 
 def _unread_keys(kv: dict) -> list:
@@ -285,9 +286,10 @@ def _unread_keys(kv: dict) -> list:
                 None if default is None else _convert(key, tag, default)):
             continue
         where = f"{selector} = {kv[selector]}"
-        where += "".join(f" with {r[1]} unset" for r in readers
-                         if not isinstance(r, str) and r[0] == kv[selector])
-        names = [r if isinstance(r, str) else f"{r[0]} with {r[1]} set" for r in readers]
+        for r in readers:
+            if not isinstance(r, str) and r[0] == kv[selector]:
+                where += f" with {r[1]} " + ("unset" if kv[r[1]] is None else f"= {kv[r[1]]}")
+        names = [r if isinstance(r, str) else f"{r[0]} with a noisy {r[1]}" for r in readers]
         out.append(f"config key {key!r} is ignored: {where} does not read it "
                    f"(read by {' / '.join(names)} only)")
     return out

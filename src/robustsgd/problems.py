@@ -13,7 +13,8 @@ Three constructive families drive the verification suite:
 Also here: a quadratic dissimilarity certifier with an exact
 negative-semidefiniteness test, the pointwise dissimilarity gap, a
 stochastic gradient oracle, and a desk-scale synthetic classification task
-used to exercise the label-flip attack. All read ProblemInstance.grads.
+used to exercise the label-flip attack. All read ProblemInstance.grads or
+its honest rows, ProblemInstance.honest_grads.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class QuadraticLocal:
 class NoiseModel:
     """Stochastic-gradient noise. kinds:
 
-    none          exact gradients
+    none          exact gradients; sigma is stored as 0 whatever is passed
     gaussian      g = grad + sigma/sqrt(d) * N(0, I)    (E||g-grad||^2 = sigma^2)
     bernoulli_pm  g = grad + sigma/sqrt(d) * s, s in {-1,+1}^d uniform
                   (per coordinate: +sigma/sqrt(d) when the underlying draw
@@ -83,10 +84,12 @@ class NoiseModel:
             raise ConfigurationError("sigma must be >= 0")
         if self.kind == "minibatch" and self.m < 1:
             raise ConfigurationError("minibatch size must be >= 1")
+        if self.kind == "none":
+            object.__setattr__(self, "sigma", 0.0)
 
     @property
     def deterministic(self) -> bool:
-        return self.kind == "none" or (self.kind in ("gaussian", "bernoulli_pm") and self.sigma == 0.0)
+        return self.kind != "minibatch" and self.sigma == 0.0
 
 
 @dataclass(frozen=True)
@@ -294,8 +297,8 @@ class ProblemInstance:
     def grads(self, x: np.ndarray) -> np.ndarray:
         """Exact gradients of every local objective at the point x (a (d,)
         array), stacked to (n, d): row i is grad f_i(x). A stack of points
-        x (K, d) gives (K, n, d), slice k bitwise grads(x[k]). Every other
-        gradient helper reads rows of it.
+        x (K, d) gives (K, n, d), slice k bitwise grads(x[k]). local_grad
+        reads a row of it; every honest quantity reads honest_grads.
 
         For quadratics this is A * x + C with the coefficients stacked once
         per instance. A classification task takes one softmax pass over its
@@ -311,16 +314,9 @@ class ProblemInstance:
         return DenseVector(self.grads(x.values)[worker])
 
     @functools.cached_property
-    def _honest_locals(self):
-        """(A, C, which): the coefficients of the distinct honest locals
-        stacked to (k, d), and the index among them of each honest worker's
-        local, in honest order. Families share one QuadraticLocal among many
-        workers, so f_H evaluates each distinct one once."""
-        honest = [self.locals[i] for i in self.pop.honest_sorted()]
-        distinct = tuple({id(loc): loc for loc in honest}.values())
-        slot = {id(loc): j for j, loc in enumerate(distinct)}
-        return (np.stack([loc.a for loc in distinct]), np.stack([loc.c for loc in distinct]),
-                np.array([slot[id(loc)] for loc in honest], dtype=np.intp))
+    def _honest_coefficients(self):
+        """(A, C): the honest rows of _coefficients, (h, d), in honest order."""
+        return tuple(M[self.pop.honest_sorted()] for M in self._coefficients)
 
     @functools.cached_property
     def _honest_task(self) -> SyntheticClassificationTask:
@@ -343,11 +339,21 @@ class ProblemInstance:
             labels[w].setflags(write=False)
         return replace(self, task=replace(task, labels=tuple(labels)))
 
+    def honest_grads(self, x: np.ndarray) -> np.ndarray:
+        """The honest rows of grads(x) in honest order, bitwise: (h, d) at a
+        point, (K, h, d) at a (K, d) stack. Quadratics read the honest
+        coefficients, a classification task one pass over the honest shards
+        alone (_honest_task)."""
+        if self.task is not None:
+            return self._honest_task.grads(x)
+        A, C = self._honest_coefficients
+        return A * x[..., None, :] + C
+
     def f_H(self, x: Union[DenseVector, np.ndarray]):
         """Honest average objective at x, a DenseVector or a (d,) array (a
         float), or, for quadratic locals, at each row of a (K, d) array (a
-        (K,) array): the per-worker values summed in honest order, then
-        divided.
+        (K,) array): each honest worker's value, from _honest_coefficients,
+        summed in honest order, then divided.
 
         A quadratic local's value 0.5*vecdot(a, x*x) + vecdot(c, x) is
         bitwise float(0.5*np.dot(a, x*x) + np.dot(c, x)), since np.vecdot
@@ -360,15 +366,15 @@ class ProblemInstance:
         if self.task is not None:
             ids = self.pop.honest_sorted()
             return sum(self.task.loss_grad(i, values)[0] for i in ids) / len(ids)
-        A, C, which = self._honest_locals
+        A, C = self._honest_coefficients
         X = values[..., None, :]
         vals = 0.5 * np.vecdot(A, X * X) + np.vecdot(C, X)
-        out = (np.cumsum(vals[..., which], axis=-1)[..., -1] + 0.0) / which.size
+        out = (np.cumsum(vals, axis=-1)[..., -1] + 0.0) / A.shape[0]
         return float(out) if values.ndim == 1 else out
 
     def grad_f_H(self, x: DenseVector) -> DenseVector:
-        """Honest average gradient at x: the _row_mean of grads(x)'s honest rows."""
-        return DenseVector(_row_mean(self.grads(x.values)[self.pop.honest_sorted()]))
+        """Honest average gradient at x: the _row_mean of honest_grads(x)."""
+        return DenseVector(_row_mean(self.honest_grads(x.values)))
 
 
 def _row_mean(rows: np.ndarray) -> np.ndarray:
@@ -523,11 +529,7 @@ def build_synthetic_family(
 
 def with_noise(instance: ProblemInstance, noise: NoiseModel) -> ProblemInstance:
     """Copy of `instance` with a different noise model."""
-    return ProblemInstance(
-        locals=instance.locals, pop=instance.pop, noise=noise,
-        analytic=instance.analytic, construction=instance.construction,
-        params=dict(instance.params), task=instance.task,
-    )
+    return replace(instance, noise=noise)
 
 
 def build_random_quadratic_family(
@@ -536,10 +538,9 @@ def build_random_quadratic_family(
     rng: RngStream,
     b: int = 0,
     shared_curvature: bool = False,
-    curvature_range=(0.5, 2.5),
-    linear_range=(-1.0, 1.0),
 ) -> ProblemInstance:
-    """Random diagonal-quadratic population with exact analytic facts.
+    """Random diagonal-quadratic population with exact analytic facts:
+    curvatures uniform on [0.5, 2.5], linear terms uniform on [-1, 1].
 
     With shared_curvature the honest locals differ only in their linear
     terms, so the dissimilarity bound holds with B = 0 and
@@ -549,15 +550,11 @@ def build_random_quadratic_family(
     if n < 1 or d < 1:
         raise ConfigurationError("need n >= 1 and d >= 1")
     gen = rng.generator
-    lo, hi = curvature_range
-    if not 0 < lo <= hi:
-        raise ConfigurationError("curvature range must be positive")
     if shared_curvature:
-        a_row = gen.uniform(lo, hi, size=d)
-        A = np.tile(a_row, (n, 1))
+        A = np.tile(gen.uniform(0.5, 2.5, size=d), (n, 1))
     else:
-        A = gen.uniform(lo, hi, size=(n, d))
-    C = gen.uniform(linear_range[0], linear_range[1], size=(n, d))
+        A = gen.uniform(0.5, 2.5, size=(n, d))
+    C = gen.uniform(-1.0, 1.0, size=(n, d))
     locs = tuple(QuadraticLocal(A[i], C[i]) for i in range(n))
     pop = WorkerPopulation(n=n, b=b)
     honest = pop.honest_sorted()
@@ -612,7 +609,7 @@ def certify_dissimilarity(instance: ProblemInstance, G: float, B: float) -> Cert
     """
     if not instance.is_quadratic:
         raise ConfigurationError("certify_dissimilarity supports quadratic instances only")
-    A, C = (M[instance.pop.honest_sorted()] for M in instance._coefficients)  # (h, d)
+    A, C = instance._honest_coefficients  # (h, d)
     a_bar = A.mean(axis=0)
     c_bar = C.mean(axis=0)
     var_a = ((A - a_bar) ** 2).mean(axis=0)
@@ -676,7 +673,7 @@ def _eval_q(alpha, beta, gamma0, x) -> float:
 def dissimilarity_gap(instance: ProblemInstance, G: float, B: float, x: DenseVector) -> float:
     """LHS - RHS of the dissimilarity inequality at a single point; the
     squared deviations are summed in honest order from zero, then divided."""
-    rows = instance.grads(x.values)[instance.pop.honest_sorted()]
+    rows = instance.honest_grads(x.values)
     gH = _row_mean(rows)
     diff = rows - gH
     lhs = (np.cumsum(np.vecdot(diff, diff))[-1] + 0.0) / rows.shape[0]

@@ -21,10 +21,9 @@ RunRecord.final_x).
 A step computes only what the algorithm needs. The metric columns
 (grad_norm_sq, f_gap, dist_to_ref) are filled once per block of steps by a
 vectorised pass (fill_metrics) over the recorded iterates, bitwise what a
-per-step evaluation gives. Its honest exact gradients are the rows the steps
-already made, except in a minibatch run, whose steps make none: there the
-pass evaluates the honest shards at the block's iterates, a stacked softmax
-pass per chunk of them.
+per-step evaluation gives. The steps keep no honest gradient: the pass takes
+them from ProblemInstance.honest_grads at the block's iterates, one stacked
+call per chunk of them.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def schedules(t: int, spec: ScheduleSpec, T: int, L: Optional[float] = None):
         if beta < -1e-12:
             raise ConfigurationError(
                 f"tied momentum requires gamma_t * L <= 1/c_beta = {1.0 / spec.c_beta:.6g}; "
-                f"got gamma_t * L = {gamma * L:.6g}"
+                f"got gamma_t * L = {gamma * L:.6g} at t = {t}"
             )
         beta = max(beta, 0.0)
     return gamma, beta
@@ -234,7 +233,11 @@ class RunRecord:
         return DenseVector(self.xs[-1])
 
     def floor_estimate(self, window_fraction: float = 0.1) -> float:
-        return measure_floor(self, window_fraction)
+        """Mean grad_norm_sq over the trailing window: the error-floor estimate."""
+        if not 0 < window_fraction <= 1:
+            raise ConfigurationError("window_fraction must lie in (0, 1]")
+        k = max(1, int(round(window_fraction * self.T)))
+        return float(self.grad_norm_sq[-k:].mean())
 
     def head(self, k: int) -> "RunRecord":
         """The first k rows, with the iterates x^0 .. x^k."""
@@ -265,14 +268,6 @@ class RunRecord:
                 fh.write(",".join(row) + "\n")
 
 
-def measure_floor(record: RunRecord, window_fraction: float = 0.1) -> float:
-    """Mean grad_norm_sq over the trailing window: the error-floor estimate."""
-    if not 0 < window_fraction <= 1:
-        raise ConfigurationError("window_fraction must lie in (0, 1]")
-    k = max(1, int(round(window_fraction * record.T)))
-    return float(record.grad_norm_sq[-k:].mean())
-
-
 # ---------------------------------------------------------------------------
 # the training loop
 
@@ -297,13 +292,22 @@ def _validate(config: RunConfig) -> None:
     if attack.kind == "label_flip" and inst.task is None:
         raise ConfigurationError("label_flip requires a classification task")
     if config.schedule.momentum == "tied":
-        # every schedule here is nonincreasing in t, so gamma_1 is the max
-        gamma1, _ = schedules(1, config.schedule, config.T, L=inst.analytic.L)
-        bound = 1.0 / config.schedule.c_beta
-        if gamma1 * inst.analytic.L > bound + 1e-15:
+        sched, T, L = config.schedule, config.T, inst.analytic.L
+        # bound the largest step: gamma_t falls in t but for two rises.
+        # pl_piecewise's second phase starts at 2/(alpha1*s0), which gamma0
+        # may undercut by up to 1e-9, and cosine is back at gamma0 at
+        # t = 2*T_max
+        peaks = [1]
+        if sched.stepsize == "pl_piecewise":
+            peaks.append(max(T // 2, 1))
+        elif sched.stepsize == "cosine" and 2 * sched.T_max <= T:
+            peaks.append(2 * sched.T_max)
+        gamma, t = max((schedules(t, sched, T, L=L)[0], t) for t in peaks)
+        bound = 1.0 / sched.c_beta
+        if gamma * L > bound + 1e-15:
             raise ConfigurationError(
                 f"tied momentum requires gamma_t * L <= 1/c_beta = {bound:.6g}; "
-                f"got gamma_1 * L = {gamma1 * inst.analytic.L:.6g}"
+                f"got gamma_t * L = {gamma * L:.6g} at t = {t}"
             )
 
 
@@ -356,23 +360,22 @@ def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
     return out
 
 
-# Iterates per stacked oracle call in a block's metrics pass under minibatch
-# noise: the pass holds a (chunk, h, d) gradient stack and the softmax
+# Iterates per honest_grads call in a block's metrics pass: the pass holds a
+# (chunk, h, d) gradient stack and, for a classification task, the softmax
 # intermediates of chunk points, not a whole block's.
 _METRICS_CHUNK = 64
 
 
-def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstance,
+def fill_metrics(record: RunRecord, r0: int, k: int, inst: ProblemInstance,
                  f_star, ref) -> Optional[tuple]:
     """Fill rows r0 .. r0+k-1 of the record's defined metric columns from
     its iterates x^{r0+1} .. x^{r0+k}; the other columns stay NaN.
 
-    `honest` is either the honest exact gradients at those iterates, a
-    (k, h, d) array the steps kept, or the honest shards' oracle, which
-    maps a (K, d) stack of points to (K, h, d) and is called here on at
-    most _METRICS_CHUNK iterates at a time (not at all for k = 0). f_star
-    (the optimal value) and ref (the reference point) may be None, which
-    leaves f_gap or dist_to_ref undefined.
+    The honest exact gradients at those iterates come from
+    inst.honest_grads, called on at most _METRICS_CHUNK iterates at a time
+    (not at all for k = 0). f_star (the optimal value) and ref (the
+    reference point) may be None, which leaves f_gap or dist_to_ref
+    undefined.
 
     Returns ("non-finite <column> at iteration <t>", column, t) for the
     first non-finite value, in row order and then in column order, or None.
@@ -381,12 +384,9 @@ def fill_metrics(record: RunRecord, r0: int, k: int, honest, inst: ProblemInstan
     (r*r).sum round differently."""
     X = record.xs[r0 + 1:r0 + 1 + k]
     with np.errstate(over="ignore", invalid="ignore"):
-        if callable(honest):
-            gH = np.empty_like(X)
-            for i in range(0, k, _METRICS_CHUNK):
-                gH[i:i + _METRICS_CHUNK] = _row_mean(honest(X[i:i + _METRICS_CHUNK]))
-        else:
-            gH = _row_mean(honest)
+        gH = np.empty_like(X)
+        for i in range(0, k, _METRICS_CHUNK):
+            gH[i:i + _METRICS_CHUNK] = _row_mean(inst.honest_grads(X[i:i + _METRICS_CHUNK]))
         values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
         if f_star is not None:
             values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
@@ -409,8 +409,9 @@ def run(config: RunConfig) -> RunRecord:
     The loop keeps every worker's momentum as the rows of one (n, d)
     matrix, updated in place; under ALIE it holds the honest rows only,
     (h, d), since the crafted slots keep none. One call of
-    ProblemInstance.grads per step, at the new iterate, gives the next
-    step's exact gradients. Each worker's noise comes from
+    ProblemInstance.grads per step (honest_grads under ALIE), at the new
+    iterate, gives the next step's exact gradients of the rows m holds.
+    Each worker's noise comes from
     blocks drawn ahead from its own (seed, worker, "noise") stream, bitwise
     the draws a per-step oracle would make: perturbations added to the exact
     gradients, or, under minibatch noise, sample indices whose gradients
@@ -430,10 +431,8 @@ def run(config: RunConfig) -> RunRecord:
     A step computes no metric. At the end of every block of at most
     _NOISE_BLOCK steps one vectorised pass (fill_metrics) fills the block's
     rows of grad_norm_sq, f_gap and dist_to_ref, bitwise what a per-step
-    evaluation gives. Its honest exact gradients are the rows the steps
-    kept from their grads call, or, under minibatch noise, one stacked
-    softmax pass over the honest shards per chunk of the block's recorded
-    iterates. The first non-finite value raises NumericFailure naming the
+    evaluation gives, from one honest_grads call per chunk of the block's
+    recorded iterates. The first non-finite value raises NumericFailure naming the
     iteration and the column, as a per-step check would: the iterate
     (checked every step) before the columns, the columns in that order, and
     a non-finite metric of an earlier step before any error a later step
@@ -468,8 +467,11 @@ def run(config: RunConfig) -> RunRecord:
     byz_rows = byz.size > 0 and not crafted
     x_star = inst.analytic.x_star
 
-    # under ALIE the Byzantine slots keep no momentum: m holds the honest rows
+    # under ALIE the Byzantine slots keep no momentum: m holds the honest
+    # rows, and a step's gradients are those rows alone
+    held = honest if crafted else slice(None)
     m = np.zeros((honest.size if crafted else n, d))
+    exact = oracle.honest_grads if crafted else oracle.grads
 
     f_star = None
     if x_star is not None:
@@ -486,15 +488,7 @@ def run(config: RunConfig) -> RunRecord:
     xs, gammas, betas = record.xs, record.gamma, record.beta
     xs[0] = config.x0.values
     x = xs[0]
-    # what the metrics pass reads: under minibatch noise the honest shards'
-    # oracle, evaluated there at the recorded iterates; otherwise the honest
-    # rows of each step's exact gradients
-    honest_grads = G = gH_block = None
-    if minibatch:
-        honest_grads = inst._honest_task.grads
-    else:
-        gH_block = np.empty((min(_NOISE_BLOCK, T), honest.size, d))
-        G = oracle.grads(x)  # exact gradients at x^{t-1}
+    G = None if minibatch else exact(x)  # exact gradients at x^{t-1}
 
     t = 0
     failure = None
@@ -516,12 +510,13 @@ def run(config: RunConfig) -> RunRecord:
                     g[honest] = oracle.task.minibatch_grads(x, block[k, honest])
                     if byz_rows:
                         g[byz] = _byzantine_honest_style(oracle, x, block[k, byz])
+                    g = g[held]
                 elif streams:
-                    g = G + block[k]
+                    g = G + block[k, held]
                 else:
                     g = G
                 m *= beta
-                m += (1.0 - beta) * (g[honest] if crafted else g)
+                m += (1.0 - beta) * g
 
                 U = m
                 agg_out = None
@@ -554,19 +549,15 @@ def run(config: RunConfig) -> RunRecord:
                 if not np.logical_and.reduce(np.isfinite(x)):
                     raise NumericFailure("non-finite iterate", column="iterate")
                 if not minibatch:
-                    G = oracle.grads(x)
-                    gH_block[k] = G[honest]
+                    G = exact(x)
                 if k == _NOISE_BLOCK - 1 or t == T:
-                    failure = fill_metrics(record, t - 1 - k, k + 1,
-                                           honest_grads or gH_block[:k + 1],
-                                           inst, f_star, ref)
+                    failure = fill_metrics(record, t - 1 - k, k + 1, inst, f_star, ref)
                     if failure:
                         break
     except Exception as exc:
         # step t raised: a non-finite metric of an earlier step came first
         k = (t - 1) % _NOISE_BLOCK
-        failure = fill_metrics(record, t - 1 - k, k, honest_grads or gH_block[:k],
-                               inst, f_star, ref)
+        failure = fill_metrics(record, t - 1 - k, k, inst, f_star, ref)
         if failure is None:
             if not isinstance(exc, NumericFailure):
                 raise
@@ -609,22 +600,21 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
     with Gamma_H^{t-1} the honest momenta's dispersion. rhs[t-1] bounds
     V^{t+1}; a step whose V^{t+1} exceeds it is flagged. The run must be
     deterministic (sigma = 0) with tied momentum, c_beta = 36: the honest
-    momenta then replay exactly from grads(record.xs) and record.beta, and
-    the gap and ||grad f_H||^2 at x^{t-1} are the record's own columns. The
-    first non-finite V^t raises NumericFailure.
+    momenta then replay exactly from honest_grads(record.xs) and
+    record.beta, and the gap and ||grad f_H||^2 at x^{t-1} are the record's
+    own columns. The first non-finite V^t raises NumericFailure.
     """
     _check_trackable(config)
     inst: ProblemInstance = config.problem
     L, G, B = inst.analytic.L, inst.analytic.G, inst.analytic.B
     sigma = inst.noise.sigma
-    honest = inst.pop.honest_sorted()
     T = record.T
     c1 = 1.0 / (8.0 * L)
     c2 = kappa / (2.0 * L)
 
     # row t-1 of each: honest grad f_i(x^{t-1}), grad f_H(x^{t-1}), its squared
     # norm and f_H(x^{t-1}) - f*, the last two from the record for t >= 2
-    grads = inst.grads(record.xs[:-1])[:, honest]
+    grads = inst.honest_grads(record.xs[:-1])
     gHs = _row_mean(grads)
     gnorms = np.concatenate((np.vecdot(gHs[:1], gHs[:1]), record.grad_norm_sq[:-1]))
     gaps = np.concatenate((

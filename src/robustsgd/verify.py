@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,22 +76,8 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "rows": [
-                {
-                    "name": r.name,
-                    "derivation": r.derivation,
-                    "predicted": r.predicted,
-                    "measured": r.measured,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "runtime_s": r.runtime_s,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"suite": self.suite, "passed": self.passed,
+                "rows": [asdict(r) for r in self.rows]}
 
 
 def _timed(rows, name, derivation, fn, tolerance):

@@ -125,6 +125,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="gamma_t \\* L <= 1/c_beta"):
             load_run_config(path)
 
+    def test_a_cosine_step_past_the_tied_bound_exits_at_load(self, tmp_path, capsys):
+        # gamma_1 * L = 0.0274 passes 1/36, but cosine climbs back to gamma0
+        # at t = 2*T_max = 20, where gamma0 * L = 0.0281 does not
+        path = _write(tmp_path / "c.cfg", "schedule.stepsize = cosine\nschedule.T_max = 10\n"
+                      "schedule.momentum = tied\nschedule.gamma0 = 0.0196\nrun.T = 25\n")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "got gamma_t * L = 0.028087 at t = 20" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_x0_dimension_message(self, tmp_path):
         path = _write(tmp_path / "c.cfg", "problem.d = 3\nrun.x0 = 1.0,2.0\n")
         with pytest.raises(ConfigurationError, match="'run.x0': got 2 components"):
@@ -226,6 +236,16 @@ class TestProblemKeys:
         noisy = UNREAD_KEYS + "problem.sigma = 3\nproblem.noise = gaussian\n"
         assert load_run_config(_write(tmp_path / "n.cfg", noisy)).warnings == []
 
+    def test_sigma_beside_noise_none_warns_and_is_not_kept(self, tmp_path):
+        # kind none adds no noise, so a sigma beside it is unread: it warns,
+        # and the model holds sigma = 0 for lyapunov_trace to read
+        text = UNREAD_KEYS + "problem.sigma = 0.3\nproblem.noise = none\n"
+        loaded = load_run_config(_write(tmp_path / "c.cfg", text))
+        assert [w.split("'")[1] for w in loaded.warnings] == ["problem.sigma"]
+        assert ("problem.kind = random_quadratic with problem.noise = none does not read it"
+                in loaded.warnings[0])
+        assert loaded.config.problem.noise == NoiseModel("none", 0.0)
+
     def test_hetero_takes_the_noise_override(self, tmp_path):
         loaded = load_run_config(_write(tmp_path / "c.cfg", NOISY_RUN))
         assert loaded.warnings == []
@@ -239,6 +259,7 @@ class TestProblemKeys:
         ("synthetic", "problem.noise = gaussian\n"),
         ("random_quadratic", ""),
         ("random_quadratic", "problem.noise = gaussian\n"),
+        ("random_quadratic", "problem.noise = none\nproblem.sigma = 0.3\n"),
         ("classification", "problem.n = 3\nproblem.samples_per_class = 4\n"),
     ])
     def test_problem_key_readers_are_what_the_builder_reads(self, kind, extra):
@@ -451,6 +472,27 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert all(row["passed"] for row in payload["rows"])
         # the benchmark's verify op reads this same stdout with its own parser
+        assert workloads.verify_json(stdout) == payload
+
+    def test_json_report_is_strict_json(self, capsys, monkeypatch):
+        # a NaN measurement prints as null: the document parses without
+        # NaN or Infinity tokens, by json and by the benchmark's parser
+        from robustsgd.verify import ReportRow, VerificationReport
+
+        row = ReportRow(name="nan_row", derivation="d", predicted=1.0, measured=math.nan,
+                        tolerance=0.1, passed=False, runtime_s=0.0)
+        monkeypatch.setattr("robustsgd.cli.run_verification",
+                            lambda suite: VerificationReport(suite, [row]))
+        assert main(["verify", "--json"]) == EXIT_VERIFY
+        stdout = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(stdout[stdout.index("\n{") + 1:], parse_constant=reject)
+        assert payload["rows"] == [{"name": "nan_row", "derivation": "d", "predicted": 1.0,
+                                    "measured": None, "tolerance": 0.1, "passed": False,
+                                    "runtime_s": 0.0}]
         assert workloads.verify_json(stdout) == payload
 
     def test_unknown_suite(self, capsys):

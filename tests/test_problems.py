@@ -234,6 +234,14 @@ class TestStochasticOracles:
         assert noisy.analytic is base.analytic
         assert noisy.locals is base.locals
 
+    def test_kind_none_stores_no_sigma(self):
+        # a model that adds no noise has no noise scale for the descent
+        # bound's sigma^2 term to read
+        assert NoiseModel("none", sigma=0.3).sigma == 0.0
+        assert NoiseModel("none", sigma=0.3) == NoiseModel("none")
+        with pytest.raises(ConfigurationError, match="sigma must be >= 0"):
+            NoiseModel("none", sigma=-1.0)
+
     def test_zero_sigma_returns_exact_gradient(self):
         inst = with_noise(
             build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5),
@@ -340,16 +348,13 @@ class TestGrads:
         want = sum(_value(inst.locals[i], x) for i in ids) / len(ids)
         assert inst.f_H(x) == want
 
-    def test_f_H_evaluates_each_distinct_local_once(self):
+    def test_f_H_sums_every_worker_of_shared_locals(self):
         # the synthetic family shares 3 QuadraticLocal objects among 20
-        # workers: f_H stacks their coefficients as 3 rows, evaluates those
-        # and gathers the 20 values in honest order
+        # workers: f_H sums all 20 values in honest order
         inst = build_synthetic_family(n=20, k=7, a=1.0, G=1.0, B=0.5, d=3)
         x = np.array([0.5, -0.25, 2.0])
         ids = inst.pop.honest_sorted()
         want = sum(_value(inst.locals[i], x) for i in ids) / len(ids)
-        A, C, which = inst._honest_locals
-        assert A.shape == C.shape == (3, 3) and which.size == 20
         assert inst.f_H(x).hex() == want.hex()
         assert [v.hex() for v in inst.f_H(np.stack([x, -x]))] == [
             want.hex(), (sum(_value(inst.locals[i], -x) for i in ids) / len(ids)).hex()]
@@ -397,6 +402,47 @@ class TestGrads:
         G = inst.grads(X)
         assert G.shape == (K, n, d)
         assert G.tobytes() == b"".join(inst.grads(x).tobytes() for x in X)
+
+
+class TestHonestGrads:
+    """honest_grads is the honest rows of grads, byte for byte, at a point
+    (h, d) and at a (K, d) stack (K, h, d); K = 64 and 65 straddle the
+    metrics pass's chunk."""
+
+    @given(st.integers(1, 9), st.integers(0, 4), st.integers(1, 5),
+           st.sampled_from([None, 1, 2, 64, 65]), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_quadratic_rows_in_honest_order(self, n, b, d, K, seed):
+        # the honest ids are a random subset, mostly not a prefix
+        b = min(b, (n - 1) // 2)
+        gen = np.random.default_rng(seed)
+        honest = sorted(gen.choice(n, size=n - b, replace=False).tolist())
+        inst = replace(build_random_quadratic_family(n=n, d=d, rng=RngStream(seed, 0, "h")),
+                       pop=WorkerPopulation(n=n, b=b, honest_ids=honest))
+        x = gen.normal(size=d if K is None else (K, d))
+        want = inst.grads(x)[..., honest, :]
+        got = inst.honest_grads(x)
+        assert got.shape == want.shape == x.shape[:-1] + (n - b, d)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.sampled_from([(0, 1, 2, 3), (0, 2, 3, 5), (1, 2, 4, 5)]),
+           st.sampled_from([2, 3, 8]), st.sampled_from([None, 1, 2, 64, 65]),
+           st.integers(0, 9))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_classification_rows_equal_the_poisoned_instances_honest_rows(
+            self, honest, samples_per_class, K, seed):
+        # the label-poisoned copy that a label_flip run steps on keeps the
+        # honest shards, so its honest rows are the honest oracle's
+        inst = build_classification_task(n_workers=6, b=2, n_classes=3, dim=2,
+                                         samples_per_class=samples_per_class, seed=seed,
+                                         alpha=0.3)
+        inst = replace(inst, pop=WorkerPopulation(n=6, b=2, honest_ids=honest))
+        gen = np.random.default_rng(seed)
+        x = 3.0 * gen.normal(size=inst.dim if K is None else (K, inst.dim))
+        want = inst._poisoned.grads(x)[..., list(honest), :]
+        got = inst.honest_grads(x)
+        assert got.shape == want.shape == x.shape[:-1] + (4, inst.dim)
+        assert got.tobytes() == want.tobytes()
 
 
 def _instance(kind, seed, scale):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import robustsgd.trainer as trainer
 from robustsgd.aggregators import AggregatorSpec
@@ -19,6 +21,7 @@ from robustsgd.core import (
 )
 from robustsgd.problems import (
     NoiseModel,
+    QuadraticLocal,
     SyntheticClassificationTask,
     build_classification_task,
     build_hetero_lower_bound,
@@ -27,8 +30,8 @@ from robustsgd.problems import (
     with_noise,
 )
 from robustsgd.trainer import (
+    STEPSIZE_KINDS,
     ScheduleSpec,
-    measure_floor,
     pl_schedule_for_momentum,
     pl_schedule_for_plain,
     run,
@@ -123,6 +126,37 @@ class TestSchedules:
         spec = ScheduleSpec(stepsize="constant", gamma0=1.0 / 36.0, momentum="tied")
         _, beta = schedules(1, spec, 10, L=1.0)
         assert beta == 0.0
+
+    @given(st.sampled_from(STEPSIZE_KINDS),
+           st.one_of(st.floats(0.5, 1.5), st.sampled_from([1.0 - 2.5e-10, 1.0 + 2.5e-10])),
+           st.integers(1, 60), st.integers(1, 30), st.sampled_from([36.0, 10.0, 1e4]),
+           st.sampled_from([0.0, -5e-10, 5e-10]))
+    @example("cosine", 0.0196 * 36.0 * (1.0 + math.sqrt(3.0) / 4.0), 25, 10, 36.0, 0.0)
+    @example("pl_piecewise", 1.0 + 2.5e-10, 10, 1, 36.0, -5e-10)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_tied_schedule_that_validates_runs_every_step(self, kind, ratio, T, T_max,
+                                                            c_beta, rel):
+        # cosine climbs back to gamma0 at t = 2*T_max, and pl_piecewise's
+        # second phase starts at 2/(alpha1*s0), which gamma0 may undercut by
+        # 1e-9: the load-time check must bound the largest step, not gamma_1.
+        # The cosine example is hetero's defaults (L = 1 + sqrt(3)/4) with
+        # gamma0 = 0.0196 and T_max = 10, which used to fail at step 20; the
+        # pl_piecewise one starts its second phase 2.5e-10 past the bound.
+        inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
+        L = inst.analytic.L
+        gamma0 = ratio / (c_beta * L)
+        if kind == "pl_piecewise":
+            spec = ScheduleSpec(stepsize=kind, s0=3.0, alpha1=2.0 / (3.0 * gamma0),
+                                gamma0=gamma0 * (1.0 + rel), momentum="tied", c_beta=c_beta)
+        else:
+            spec = ScheduleSpec(stepsize=kind, gamma0=gamma0, T_max=T_max,
+                                momentum="tied", c_beta=c_beta)
+        try:
+            trainer._validate(_cfg(inst, T=T, sched=spec))
+        except ConfigurationError:
+            return
+        for t in range(1, T + 1):
+            schedules(t, spec, T, L=L)
 
     @pytest.mark.parametrize(
         "kwargs,msg",
@@ -335,10 +369,10 @@ class TestRunRecord:
     def test_floor_window_arithmetic(self):
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
         rec = run(_cfg(inst, T=100))
-        assert measure_floor(rec, 0.1) == pytest.approx(
+        assert rec.floor_estimate(0.1) == pytest.approx(
             float(rec.grad_norm_sq[-10:].mean()), rel=0
         )
-        assert measure_floor(rec, 1.0) == pytest.approx(
+        assert rec.floor_estimate(1.0) == pytest.approx(
             float(rec.grad_norm_sq.mean()), rel=0
         )
 
@@ -347,7 +381,7 @@ class TestRunRecord:
         rec = run(_cfg(inst, T=10))
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ConfigurationError, match="window_fraction"):
-                measure_floor(rec, bad)
+                rec.floor_estimate(bad)
 
     def test_floor_insensitive_to_window_on_converged_run(self):
         kappa = 0.1
@@ -652,8 +686,10 @@ class TestAttackIntegration:
 
         rng = RngStream(48, 0, "t")
         inst = build_random_quadratic_family(n=5, d=2, rng=rng, b=1,
-                                             shared_curvature=True,
-                                             linear_range=(0.3, 0.3))
+                                             shared_curvature=True)
+        # shared curvature and one linear term: every honest momentum is equal
+        inst = replace(inst, locals=tuple(QuadraticLocal(loc.a, np.full(2, 0.3))
+                                          for loc in inst.locals))
         T = 6
         cfg = _cfg(inst, rule="cwm", T=T,
                    attack=AttackSpec(kind="alie", byzantine_ids=frozenset({4})))
