@@ -297,8 +297,8 @@ class ProblemInstance:
     def grads(self, x: np.ndarray) -> np.ndarray:
         """Exact gradients of every local objective at the point x (a (d,)
         array), stacked to (n, d): row i is grad f_i(x). A stack of points
-        x (K, d) gives (K, n, d), slice k bitwise grads(x[k]). local_grad
-        reads a row of it; every honest quantity reads honest_grads.
+        x (K, d) gives (K, n, d), slice k bitwise grads(x[k]). Every honest
+        quantity reads honest_grads.
 
         For quadratics this is A * x + C with the coefficients stacked once
         per instance. A classification task takes one softmax pass over its
@@ -308,10 +308,6 @@ class ProblemInstance:
             return self.task.grads(x)
         A, C = self._coefficients
         return A * x[..., None, :] + C
-
-    def local_grad(self, worker: int, x: DenseVector) -> DenseVector:
-        """Exact gradient of f_worker at x: row `worker` of grads(x)."""
-        return DenseVector(self.grads(x.values)[worker])
 
     @functools.cached_property
     def _honest_coefficients(self):
@@ -668,16 +664,6 @@ def certify_dissimilarity(instance: ProblemInstance, G: float, B: float) -> Cert
 
 def _eval_q(alpha, beta, gamma0, x) -> float:
     return float(np.sum(alpha * x * x + beta * x) + gamma0)
-
-
-def dissimilarity_gap(instance: ProblemInstance, G: float, B: float, x: DenseVector) -> float:
-    """LHS - RHS of the dissimilarity inequality at a single point; the
-    squared deviations are summed in honest order from zero, then divided."""
-    rows = instance.honest_grads(x.values)
-    gH = _row_mean(rows)
-    diff = rows - gH
-    lhs = (np.cumsum(np.vecdot(diff, diff))[-1] + 0.0) / rows.shape[0]
-    return float(lhs - (G * G + B * B * np.vecdot(gH, gH)))
 
 
 # ---------------------------------------------------------------------------

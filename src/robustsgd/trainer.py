@@ -13,10 +13,9 @@ latter directly. ProblemInstance.grads gives all n exact gradients in one
 call per step, for quadratics and classification tasks alike, and each
 worker's noise (a perturbation, or a minibatch's sample indices) is drawn in
 blocks of steps from its own (seed, worker, "noise") stream, bitwise equal
-to drawing it step by step. A classification step's minibatch gradients
-take one batched softmax pass for the honest workers and one for the
-Byzantine ones. DenseVector appears only at the API boundary (x0,
-RunRecord.final_x).
+to drawing it step by step. A classification step's minibatch gradients,
+the Byzantine workers' honest-style ones included, take one batched softmax
+pass. DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 
 A step computes only what the algorithm needs. The metric columns
 (grad_norm_sq, f_gap, dist_to_ref) are filled once per block of steps by a
@@ -314,14 +313,13 @@ def _validate(config: RunConfig) -> None:
 def _byzantine_honest_style(
     oracle: ProblemInstance, x: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
-    """Honest-style minibatch gradients of the Byzantine workers on a
-    classification task, one batched pass per step: row r is the gradient
-    over the r-th Byzantine worker's minibatch idx[r], drawn from that
-    worker's own stream and read from `oracle`'s shards, which are
-    label-poisoned under label_flip. Other noise models take every worker's
-    row from ProblemInstance.grads plus its own noise. This stays a function
-    of its own so that perfbench's tracer (`attacks.byzantine_oracle`) can
-    time the Byzantine oracle apart from the honest one."""
+    """Honest-style minibatch gradients of the Byzantine workers: row r is
+    the gradient over the minibatch idx[r] of `oracle`'s shards.
+
+    run does not call it: a minibatch step takes these rows in the same
+    softmax pass as the honest ones. It is kept only as the name perfbench's
+    tracer resolves for its `attacks.byzantine_oracle` site, which reads 0
+    calls."""
     return oracle.task.minibatch_grads(x, idx)
 
 
@@ -414,10 +412,11 @@ def run(config: RunConfig) -> RunRecord:
     Each worker's noise comes from
     blocks drawn ahead from its own (seed, worker, "noise") stream, bitwise
     the draws a per-step oracle would make: perturbations added to the exact
-    gradients, or, under minibatch noise, sample indices whose gradients
-    take one batched pass for the honest workers and one
-    (_byzantine_honest_style) for the Byzantine ones. A minibatch step then
-    needs no exact gradient at all.
+    gradients, or, under minibatch noise, sample indices whose gradients,
+    for every row m holds, take one batched pass over `oracle`'s shards
+    (label-poisoned for the Byzantine workers under label_flip). Each row
+    is bitwise what a pass over its minibatch alone gives. A minibatch step
+    then needs no exact gradient at all.
     DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 
     Byzantine behavior by attack kind:
@@ -464,7 +463,6 @@ def run(config: RunConfig) -> RunRecord:
     # the shards every worker reads, label-poisoned for the Byzantine ones
     # under label_flip; its honest rows are inst's, so its grads give f_H's too
     oracle = inst._poisoned if attack.kind == "label_flip" else inst
-    byz_rows = byz.size > 0 and not crafted
     x_star = inst.analytic.x_star
 
     # under ALIE the Byzantine slots keep no momentum: m holds the honest
@@ -506,11 +504,7 @@ def run(config: RunConfig) -> RunRecord:
                         noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d, oracle.task,
                     )
                 if minibatch:
-                    g = np.empty((n, d))
-                    g[honest] = oracle.task.minibatch_grads(x, block[k, honest])
-                    if byz_rows:
-                        g[byz] = _byzantine_honest_style(oracle, x, block[k, byz])
-                    g = g[held]
+                    g = oracle.task.minibatch_grads(x, block[k, held])
                 elif streams:
                     g = G + block[k, held]
                 else:
@@ -532,7 +526,7 @@ def run(config: RunConfig) -> RunRecord:
                         U = np.empty((n, d))
                         U[honest] = m
                         U[byz] = submitted
-                elif byz_rows and attack.kind == "sign_flip":
+                elif byz.size and attack.kind == "sign_flip":
                     U = m.copy()
                     U[byz] = sign_flip(m[byz])
 

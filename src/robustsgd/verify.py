@@ -537,10 +537,10 @@ def check_robustness_props(rows, suite):
                                variant="hetero_c1")
         for _ in range(20):
             x = DenseVector(rng.normal(0, 2, size=1))
-            ups = [hinst.local_grad(i, x) for i in (0, 1)]
+            pts2 = hinst.grads(x.values)
             ctx = OracleContext(x=x, x_star=hinst.analytic.x_star, instance=hinst)
+            ups = [DenseVector(g) for g in pts2]
             out = aggregate(hspec, ups, honest_ids=[0, 1], context=ctx).values
-            pts2 = np.stack([u.values for u in ups])
             mean = pts2.mean(axis=0)
             disp = float(((pts2 - mean) ** 2).sum(axis=1).mean())
             dev = float(np.sum((out - mean) ** 2))

@@ -13,8 +13,13 @@ ProblemInstance.grads. Their old bodies are kept below, verbatim apart from
 their names (and `self` read as `inst`), so that this loop still computes
 every gradient the old way:
 reference_quadratic_grad (QuadraticLocal.grad), reference_local_grad
-(ProblemInstance.local_grad), reference_grad_f_H (ProblemInstance.grad_f_H)
-and reference_stochastic_gradient (problems.stochastic_gradient).
+(ProblemInstance.local_grad, since deleted), reference_grad_f_H
+(ProblemInstance.grad_f_H) and reference_stochastic_gradient
+(problems.stochastic_gradient).
+
+dissimilarity_gap is problems.dissimilarity_gap as it stood when it left
+the package, where nothing but tests called it: the gap at one point, read
+off honest_grads.
 
 The softmax kernel of SyntheticClassificationTask before it computed in
 place is kept the same way: reference_probs, reference_residual and
@@ -54,7 +59,7 @@ from robustsgd.core import (
     RunConfig,
     as_matrix,
 )
-from robustsgd.problems import ProblemInstance
+from robustsgd.problems import ProblemInstance, _row_mean
 from robustsgd.trainer import (
     LyapunovTrace,
     RunRecord,
@@ -74,6 +79,16 @@ def reference_local_grad(inst: ProblemInstance, worker: int, x: DenseVector) -> 
         _, g = inst.task.loss_grad(worker, x.values)
         return DenseVector(g)
     return DenseVector(reference_quadratic_grad(inst.locals[worker], x.values))
+
+
+def dissimilarity_gap(instance: ProblemInstance, G: float, B: float, x: DenseVector) -> float:
+    """LHS - RHS of the dissimilarity inequality at a single point; the
+    squared deviations are summed in honest order from zero, then divided."""
+    rows = instance.honest_grads(x.values)
+    gH = _row_mean(rows)
+    diff = rows - gH
+    lhs = (np.cumsum(np.vecdot(diff, diff))[-1] + 0.0) / rows.shape[0]
+    return float(lhs - (G * G + B * B * np.vecdot(gH, gH)))
 
 
 def reference_grad_f_H(inst: ProblemInstance, x: DenseVector) -> DenseVector:

@@ -299,7 +299,7 @@ class TestOracleAdversarial:
     def test_hetero_c1_drift_identity(self):
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5, kappa=0.1)
         x = DenseVector([0.7])
-        mat = np.stack([inst.local_grad(0, x).values, inst.local_grad(1, x).values])
+        mat = inst.grads(x.values)
         ctx = OracleContext(x=x, x_star=inst.analytic.x_star, instance=inst)
         out = oracle_adversarial(mat, [0, 1], 0.1, "hetero_c1", ctx)
         mean = 0.5 * (mat[0] + mat[1])
@@ -316,8 +316,7 @@ class TestOracleAdversarial:
         inst = build_noise_lower_bound(mu=1.0, B=0.5, sigma=1.0)
         x = DenseVector([0.4])
         mu, B, sigma = 1.0, 0.5, 1.0
-        g1 = inst.local_grad(0, x).values[0]
-        g2 = inst.local_grad(1, x).values[0]
+        g1, g2 = inst.grads(x.values)[:, 0]
         ctx = OracleContext(x=x, instance=inst)
         # coins (0, 1): W = B*mu*x + sigma
         mat = np.array([[g1 + sigma], [g2 - sigma]])
@@ -428,7 +427,7 @@ class TestStackedInputs:
                               variant="noise_c2")
         X = DenseVector([x])
         ctx = OracleContext(x=X, instance=inst)
-        g = [inst.local_grad(w, X).values[0] for w in (0, 1)]
+        g = inst.grads(X.values)[:, 0]
         stack = np.array([[[g[0] + (-sigma if c0 else sigma)],
                            [g[1] + (-sigma if c1 else sigma)]] for c0, c1 in coins])
         _assert_rows_match_single(spec, stack, [0, 1], ctx)

@@ -20,17 +20,18 @@ from robustsgd.problems import (
     ProblemInstance,
     QuadraticLocal,
     SyntheticClassificationTask,
+    _COLUMN_MAX_ROWS_PER_CLASS,
     build_classification_task,
     build_hetero_lower_bound,
     build_noise_lower_bound,
     build_random_quadratic_family,
     build_synthetic_family,
     certify_dissimilarity,
-    dissimilarity_gap,
     stochastic_gradient,
     with_noise,
 )
 from reference_loop import (
+    dissimilarity_gap,
     reference_grad_f_H,
     reference_local_grad,
     reference_loss_grad,
@@ -113,7 +114,7 @@ class TestNoiseFamily:
             stochastic_gradient(inst, 0, x, RngStream(s, 0, "t")).values[0]
             for s in range(400)
         ]
-        exact = inst.local_grad(0, x).values[0]
+        exact = inst.grads(x.values)[0, 0]
         # every draw is exact +/- sigma, and both signs occur
         offs = {round(v - exact, 12) for v in draws}
         assert offs == {0.7, -0.7}
@@ -249,7 +250,7 @@ class TestStochasticOracles:
         )
         x = DenseVector([1.5])
         g = stochastic_gradient(inst, 0, x, RngStream(0, 0, "t"))
-        assert g == inst.local_grad(0, x)
+        assert g.values.tobytes() == inst.grads(x.values)[0].tobytes()
 
     def test_gaussian_noise_total_second_moment(self):
         # sigma^2 is split across coordinates: E||g - grad||^2 = sigma^2
@@ -258,7 +259,7 @@ class TestStochasticOracles:
             NoiseModel("gaussian", sigma=2.0),
         )
         x = DenseVector(np.zeros(4))
-        exact = inst.local_grad(0, x).values
+        exact = inst.grads(x.values)[0]
         gen_draws = [
             stochastic_gradient(inst, 0, x, RngStream(s, 0, "mm")).values
             for s in range(3000)
@@ -325,7 +326,7 @@ class TestGrads:
         G = inst.grads(x)
         assert G.shape == (6, 4)
         for i in range(6):
-            assert G[i].tobytes() == inst.local_grad(i, DenseVector(x)).values.tobytes()
+            assert G[i].tobytes() == reference_local_grad(inst, i, DenseVector(x)).values.tobytes()
 
     def test_classification_rows_equal_local_gradients_bitwise(self):
         inst = build_classification_task(n_workers=4, b=1, n_classes=3, dim=2,
@@ -334,7 +335,7 @@ class TestGrads:
         G = inst.grads(x)
         assert G.shape == (4, inst.dim)
         for i in range(4):
-            assert G[i].tobytes() == inst.local_grad(i, DenseVector(x)).values.tobytes()
+            assert G[i].tobytes() == reference_local_grad(inst, i, DenseVector(x)).values.tobytes()
 
     @given(st.integers(1, 12), st.integers(0, 5), st.integers(1, 12), st.integers(0, 99))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -471,9 +472,10 @@ def _old_dissimilarity_gap(instance, G, B, x):
 
 
 class TestRowReads:
-    """local_grad, grad_f_H, dissimilarity_gap and stochastic_gradient read
-    rows of grads(x); each must equal its old per-worker body (kept in
-    reference_loop.py) byte for byte."""
+    """The rows of grads(x), grad_f_H, dissimilarity_gap (a test copy in
+    reference_loop.py reading honest_grads) and stochastic_gradient must
+    equal the old per-worker bodies (kept in reference_loop.py) byte for
+    byte."""
 
     @given(st.sampled_from(["random", "hetero", "synthetic", "classification"]),
            st.integers(0, 99), st.integers(-2, 2))
@@ -482,9 +484,9 @@ class TestRowReads:
         scale = 10.0 ** k
         inst = _instance(kind, seed, scale)
         x = DenseVector(scale * np.random.default_rng(seed).normal(size=inst.dim))
+        G = inst.grads(x.values)
         for w in range(inst.pop.n):
-            assert (inst.local_grad(w, x).values.tobytes()
-                    == reference_local_grad(inst, w, x).values.tobytes())
+            assert G[w].tobytes() == reference_local_grad(inst, w, x).values.tobytes()
         assert inst.grad_f_H(x).values.tobytes() == reference_grad_f_H(inst, x).values.tobytes()
         got = dissimilarity_gap(inst, scale, 0.5, x)
         assert got.hex() == _old_dissimilarity_gap(inst, scale, 0.5, x).hex()
@@ -601,7 +603,8 @@ class TestSoftmaxOracle:
         inst = build_classification_task(n_workers=n, b=min(b, (n - 1) // 2), n_classes=4,
                                          dim=3, samples_per_class=2 * n, seed=seed)
         x = np.random.default_rng(seed).normal(size=inst.dim)
-        stack = np.stack([inst.local_grad(w, DenseVector(x)).values for w in range(n)])
+        stack = np.stack([reference_local_grad(inst, w, DenseVector(x)).values
+                          for w in range(n)])
         assert inst.grads(x).tobytes() == stack.tobytes()
 
     def test_shards_are_concatenated_on_first_use(self):
@@ -677,3 +680,24 @@ class TestKernelMatchesReference:
             SyntheticClassificationTask(
                 features=(np.zeros((2, 1)), np.zeros((2, 1))),
                 labels=(np.array([0, 2]), np.array([1, bad])), n_classes=3, dim=1)
+
+
+@given(kernel_cases(), st.sampled_from([1, 2, 8]), st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+       st.integers(-1, 1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_minibatch_rows_equal_a_call_on_any_subset_of_them(case, m, scale, offset):
+    # trainer.run takes every worker's minibatch, honest and Byzantine, in
+    # one minibatch_grads call; each row must keep the bytes of a call on
+    # fewer rows. The row count K*m lands on both sides of the column-wise
+    # maximum's threshold, near it and far from it.
+    inst, x, rng = case
+    C = inst.task.n_classes
+    K = max(1, math.ceil(scale * _COLUMN_MAX_ROWS_PER_CLASS * C / m) + offset)
+    for task in (inst.task, inst._poisoned.task):
+        _, _, starts, sizes, _ = task.shards
+        w = rng.integers(0, sizes.size, size=K)
+        idx = starts[w, None] + np.floor(rng.random((K, m)) * sizes[w, None]).astype(np.int64)
+        full = task.minibatch_grads(x, idx)
+        subset = np.sort(rng.choice(K, size=rng.integers(1, K + 1), replace=False))
+        for rows in (subset, rng.integers(0, K, size=1)):
+            assert task.minibatch_grads(x, idx[rows]).tobytes() == full[rows].tobytes()
