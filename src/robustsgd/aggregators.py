@@ -226,6 +226,15 @@ def _values(x) -> np.ndarray:
     return x.values if isinstance(x, DenseVector) else x
 
 
+def noise_drift(x, coin1, coin2, B, mu, sigma):
+    """W(x; xi_1, xi_2), the drift noise_c2 subtracts (times sqrt(kappa))
+    from the honest mean of the two-worker Bernoulli construction: B*mu*x
+    when the coins agree, -B*mu*x + sigma on (1, 0) and B*mu*x + sigma on
+    (0, 1). Coins are 0/1 (or bool) arrays, broadcast against x."""
+    bmx = B * mu * x
+    return np.where(coin1 == coin2, bmx, np.where(coin1, -bmx + sigma, bmx + sigma))
+
+
 def oracle_adversarial(
     mat: np.ndarray,
     honest_ids: Sequence[int],
@@ -243,9 +252,9 @@ def oracle_adversarial(
     hetero_c1       mean_H - sqrt(kappa) * (u_first - mean_H), the drift rule
                     for the two-worker heterogeneous construction (valid for
                     both gradient and momentum submissions);
-    noise_c2        mean_H - sqrt(kappa) * W(x; xi_1, xi_2) for the
-                    two-worker Bernoulli construction, with the coin values
-                    reconstructed from the submissions.
+    noise_c2        mean_H - sqrt(kappa) * W(x; xi_1, xi_2) (`noise_drift`)
+                    for the two-worker Bernoulli construction, with the coin
+                    values reconstructed from the submissions.
 
     Each row of an (..., n, d) stack is answered on its own statistics.
     An ndarray honest_ids is taken to be sorted already (the training loop
@@ -299,8 +308,6 @@ def oracle_adversarial(
             raise ConfigurationError("noise_c2 expects the 1-D two-worker instance")
         xv = _values(context.x)
         x = float(xv[0])
-        mu = inst.analytic.mu
-        B = inst.analytic.B
         grads = inst.honest_grads(xv)[:, 0]
         resid = mat[..., honest, 0] - grads
         if np.any(np.abs(np.abs(resid) - sigma) > 1e-6 * max(1.0, sigma)):
@@ -309,12 +316,7 @@ def oracle_adversarial(
                 "must be plain Bernoulli gradient draws (no momentum)"
             )
         xi = resid <= 0            # coin 1 pushes the draw down by sigma
-        bmx = B * mu * x
-        W = np.where(
-            xi[..., 0] == xi[..., 1],
-            bmx,
-            np.where(xi[..., 0], -bmx + sigma, bmx + sigma),   # (1, 0) / (0, 1)
-        )
+        W = noise_drift(x, xi[..., 0], xi[..., 1], inst.analytic.B, inst.analytic.mu, sigma)
         return mean - sk * W[..., None]
 
     raise ConfigurationError(f"unknown oracle variant {variant!r}")

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, OracleContext, aggregate
+from .aggregators import AggregatorSpec, OracleContext, aggregate, noise_drift
 from .attacks import AdversaryView, AttackSpec, alie, sign_flip
 from .core import (
     ConfigurationError,
@@ -166,9 +166,7 @@ def pl_schedule_for_plain(
         )
     alpha1 = 2.0 * mu * (0.5 - 2.0 * delta - kappa * B * B * (0.5 + delta))
     lower = max(2.0 * L / (delta * alpha1), 2.0)
-    s0 = float(math.ceil(lower))
-    if s0 <= lower:
-        s0 += 1.0
+    s0 = float(math.floor(lower) + 1)
     return ScheduleSpec(stepsize="pl_piecewise", s0=s0, alpha1=alpha1)
 
 
@@ -185,9 +183,7 @@ def pl_schedule_for_momentum(instance: ProblemInstance, kappa: float) -> Schedul
         raise ConfigurationError(f"requires kappa*B^2 < 1/56, got {kappa * B * B:.6g}")
     alpha4 = (3.0 / 8.0 - 21.0 * kappa * B * B) * mu
     lower = max(2.0, 72.0 * L / alpha4)
-    s0 = float(math.ceil(lower))
-    if s0 <= lower:
-        s0 += 1.0
+    s0 = float(math.floor(lower) + 1)
     return ScheduleSpec(
         stepsize="pl_piecewise", s0=s0, alpha1=alpha4, momentum="tied", c_beta=36.0
     )
@@ -674,7 +670,8 @@ def run_noise_floor_replicates(
     x0: float = 0.0,
 ) -> dict:
     """Vectorized replicate runs of plain robust SGD (beta = 0) on the
-    two-worker Bernoulli construction under the noise-drift adversarial rule.
+    two-worker Bernoulli construction under the noise-drift adversarial rule
+    (the drift W is `noise_drift`, which the noise_c2 rule also subtracts).
 
     All replicates advance in lockstep as one numpy vector; coin flips come
     from a single generator keyed by `seed`, so a given (seed, replicates, T)
@@ -708,15 +705,9 @@ def run_noise_floor_replicates(
         s1 = sigma * (1.0 - 2.0 * xi[:, 0])
         s2 = sigma * (1.0 - 2.0 * xi[:, 1])
         gbar = 0.5 * ((a1 * x + s1) + (a2 * x + s2))
-        same = xi[:, 0] == xi[:, 1]
-        W = np.where(
-            same,
-            B * mu * x,
-            np.where(xi[:, 0] == 1, -B * mu * x + sigma, B * mu * x + sigma),
-        )
         if t == T:
             x_prev = x.copy()
-        x = x - gamma * (gbar - sk * W)
+        x = x - gamma * (gbar - sk * noise_drift(x, xi[:, 0], xi[:, 1], B, mu, sigma))
         if not np.all(np.isfinite(x)):
             raise NumericFailure(f"non-finite replicate iterate at iteration {t}")
 

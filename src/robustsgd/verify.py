@@ -80,17 +80,15 @@ class VerificationReport:
                 "rows": [asdict(r) for r in self.rows]}
 
 
-def _timed(rows, name, derivation, fn, tolerance):
-    """Run fn() -> (predicted, measured[, passed]) and append a row. A check
-    without an explicit pass verdict passes iff |measured-predicted| <= tol."""
+def _timed(rows, name, derivation, fn):
+    """Run fn() -> (predicted, measured, tolerance[, passed]) and append a
+    row. A check without its own verdict passes iff
+    |measured - predicted| <= tolerance."""
     t0 = time.perf_counter()
     out = fn()
     dt = time.perf_counter() - t0
-    if len(out) == 3:
-        predicted, measured, passed = out
-    else:
-        predicted, measured = out
-        passed = abs(measured - predicted) <= tolerance
+    predicted, measured, tolerance = out[:3]
+    passed = out[3] if len(out) == 4 else abs(measured - predicted) <= tolerance
     rows.append(ReportRow(name, derivation, float(predicted), float(measured),
                           float(tolerance), bool(passed), dt))
 
@@ -170,31 +168,31 @@ def check_hetero(rows, suite):
     def limit():
         rec = run(cfg)
         rec_holder["rec"] = rec
-        return x_F, float(rec.xs[-2][0])
+        return x_F, float(rec.xs[-2][0]), 1e-9
 
     _timed(rows, "hetero_limit",
            "x_F* = sqrt(kappa)*eps/(mu - sqrt(kappa)*delta), "
            "delta = sqrt(3)*B*mu/2, eps = G/2",
-           limit, 1e-9)
+           limit)
 
     def floor():
         rec = rec_holder["rec"]
         mu = inst.analytic.mu
-        return mu * mu * x_F * x_F, rec.floor_estimate()
+        return mu * mu * x_F * x_F, rec.floor_estimate(), 1e-9
 
     _timed(rows, "hetero_floor",
            "asymptotic grad-norm^2 = mu^2 * (x_F*)^2",
-           floor, 1e-9)
+           floor)
 
     cfg_m, _, _ = _hetero_config(momentum=True)
 
     def mom_limit():
         rec = run(cfg_m)
-        return x_F, float(rec.xs[-2][0])
+        return x_F, float(rec.xs[-2][0]), 1e-9
 
     _timed(rows, "hetero_momentum_limit",
            "tied-momentum run drifts to the same fixed point x_F*",
-           mom_limit, 1e-9)
+           mom_limit)
 
 
 def check_noise(rows, suite):
@@ -211,40 +209,43 @@ def check_noise(rows, suite):
         moments = noise_floor_exact_moments(mu, B, sigma, kappa, sched, T)
         mc = run_noise_floor_replicates(inst, kappa, sched, T=T, replicates=R, seed=2024)
         state["moments"], state["mc"] = moments, mc
-        se = math.sqrt(max(moments["var_of_sq"], 0.0) / R)
-        state["se"] = se
-        return moments["second"], mc["mean_sq"], abs(mc["mean_sq"] - moments["second"]) <= 3 * se
+        state["se"] = math.sqrt(max(moments["var_of_sq"], 0.0) / R)
+        return moments["second"], mc["mean_sq"], 3 * state["se"]
 
     _timed(rows, "noise_mc_vs_recursion",
            "exact four-case moment recursion for E[(x^{T-1})^2]; "
            "tolerance 3 standard errors of the replicate mean",
-           mc_vs_recursion, float("nan"))
-    rows[-1].tolerance = 3 * state["se"]
+           mc_vs_recursion)
 
     def floor_row():
         moments, mc = state["moments"], state["mc"]
         gap = abs(moments["second"] - x_F_sq)
-        tol = 3 * state["se"] + gap
-        state["tol_floor"] = tol
-        return x_F_sq, mc["mean_sq"], abs(mc["mean_sq"] - x_F_sq) <= tol
+        return x_F_sq, mc["mean_sq"], 3 * state["se"] + gap
 
     _timed(rows, "noise_floor",
            "(x_F*)^2 with x_F* = (sqrt(kappa)*sigma/2)/(mu*(1-sqrt(kappa)*B/2)); "
            "composite tolerance 3*SE + |exact finite-horizon E[x^2] - (x_F*)^2| "
            "(the recursion quantifies the last-iterate variance surplus)",
-           floor_row, float("nan"))
-    rows[-1].tolerance = state["tol_floor"]
+           floor_row)
 
     def mean_row():
         mc = state["mc"]
         se = mc["se_x"] if mc["se_x"] > 0 else 1e-12
-        x_F = math.sqrt(x_F_sq)
-        return x_F, mc["mean_x"], abs(mc["mean_x"] - x_F) <= 3 * se
+        return math.sqrt(x_F_sq), mc["mean_x"], 3 * se
 
     _timed(rows, "noise_mean_drift",
            "E[x^{T-1}] -> x_F* (the drifted fixed point attracts the mean)",
-           mean_row, float("nan"))
-    rows[-1].tolerance = 3 * state["mc"]["se_x"]
+           mean_row)
+
+
+def _lyapunov_v1(inst, x0, gap0, gamma) -> float:
+    """V^1 = 2*gap0 + ||delta^1||^2/(8L) of tied momentum (c_beta = 36)
+    started at x0 with m^0 = 0: m_i^1 = (1-beta1) grad f_i(x0), so the mean
+    delta is -beta1 * grad f_H(x0) and the dispersion term vanishes."""
+    L = inst.analytic.L
+    beta1 = 1.0 - 36.0 * gamma * L
+    gH = inst.grad_f_H(x0).values
+    return 2.0 * gap0 + beta1**2 * float(np.dot(gH, gH)) / (8.0 * L)
 
 
 def check_init_bound(rows, suite):
@@ -264,19 +265,14 @@ def check_init_bound(rows, suite):
             if gap0 < 1e-12:
                 continue
             gamma = float(gen.uniform(0.1, 1.0)) / (36.0 * L)
-            beta1 = 1.0 - 36.0 * gamma * L
-            gH = inst.grad_f_H(x0).values
-            # m_i^1 = (1-beta1) grad f_i(x0); mean delta = -beta1 * grad f_H
-            delta_sq = beta1**2 * float(np.dot(gH, gH))
-            V1 = 2.0 * gap0 + delta_sq / (8.0 * L)  # dispersion term: m^0 = 0
-            worst = max(worst, V1 / gap0)
-        return 2.25, worst, worst <= 2.25 * (1.0 + 1e-12)
+            worst = max(worst, _lyapunov_v1(inst, x0, gap0, gamma) / gap0)
+        tol = 2.25e-12
+        return 2.25, worst, tol, worst <= 2.25 + tol
 
     _timed(rows, "init_bound",
            "V^1 = 2*gap0 + ||delta^1||^2/(8L) <= (9/4)*gap0 since "
            "||grad f_H||^2 <= 2L*gap0 and m^0 = 0",
-           bound, float("nan"))
-    rows[-1].tolerance = 2.25e-12
+           bound)
 
     def tracker_match():
         rng = RngStream(777, 0, "verify-init-trk")
@@ -295,17 +291,14 @@ def check_init_bound(rows, suite):
             x0 = DenseVector(gen.uniform(-2, 2, size=inst.dim))
             cfg = RunConfig(problem=inst, aggregator=agg, attack=AttackSpec(),
                             schedule=sched, T=3, x0=x0)
-            record, trace = track_lyapunov(cfg)
-            beta1 = 1.0 - 36.0 * gamma * L
-            gH = inst.grad_f_H(x0).values
+            _, trace = track_lyapunov(cfg)
             gap0 = inst.f_H(x0) - inst.f_H(inst.analytic.x_star)
-            V1 = 2.0 * gap0 + beta1**2 * float(np.dot(gH, gH)) / (8.0 * L)
-            worst = max(worst, abs(trace.V[0] - V1))
-        return 0.0, worst
+            worst = max(worst, abs(trace.V[0] - _lyapunov_v1(inst, x0, gap0, gamma)))
+        return 0.0, worst, 1e-12
 
     _timed(rows, "init_bound_tracker",
            "tracker's V^1 equals the direct two-term evaluation",
-           tracker_match, 1e-12)
+           tracker_match)
 
 
 def check_descent(rows, suite):
@@ -334,13 +327,13 @@ def check_descent(rows, suite):
             _, trace = track_lyapunov(cfg)
             flagged += len(trace.flagged)
             negative += int(np.any(trace.V < 0))
-        return 0.0, float(flagged + negative)
+        return 0.0, float(flagged + negative), 0.0
 
     _timed(rows, "descent_no_flags",
            "per-step bound V^{t+1} <= gamma_t(-3/8+21*kappa*B^2)*||grad||^2 "
            "+ 2*gap + (1-gamma_t*L)(c1*||delta||^2 + c2*disp) + 21*gamma_t*kappa*G^2 "
            "never flags when kappa*B^2 < 1/56, sigma = 0, tied beta; and V^t >= 0",
-           flags, 0.0)
+           flags)
 
 
 def check_floor_formula(rows, suite):
@@ -366,12 +359,12 @@ def check_floor_formula(rows, suite):
                 results[(kappa, b_sq)] = floor
                 pred = kappa * 1.0 / (1.0 - kappa * b_sq)
                 worst = max(worst, abs(floor - pred) / pred)
-        return 0.0, worst
+        return 0.0, worst, 1e-6
 
     _timed(rows, "floor_formula_synthetic",
            "deterministic grad-norm^2 floor = kappa*G^2/(1 - kappa*B^2) "
            "(max relative error over the kappa x B^2 grid)",
-           formula, 1e-6)
+           formula)
 
     def monotone():
         margin = math.inf
@@ -381,13 +374,13 @@ def check_floor_formula(rows, suite):
         for b_sq in b_sqs:
             for lo, hi in zip(kappas, kappas[1:]):
                 margin = min(margin, results[(hi, b_sq)] - results[(lo, b_sq)])
-        return 0.0, margin, margin >= -1e-12
+        tol = 1e-12
+        return 0.0, margin, tol, margin >= -tol
 
     _timed(rows, "floor_monotone",
            "measured floors nondecreasing in B^2 at fixed kappa and in kappa "
            "at fixed B^2 (minimum consecutive increment)",
-           monotone, float("nan"))
-    rows[-1].tolerance = 1e-12
+           monotone)
 
 
 def check_momentum_suppression(rows, suite):
@@ -401,28 +394,23 @@ def check_momentum_suppression(rows, suite):
 
     def suppression():
         def best(momentum):
-            floors = []
-            for g in gammas:
-                if momentum:
-                    sched = ScheduleSpec(stepsize="constant", gamma0=g,
-                                         momentum="tied", c_beta=36.0)
-                else:
-                    sched = ScheduleSpec(stepsize="constant", gamma0=g)
-                cfg = RunConfig(problem=inst, aggregator=agg, attack=AttackSpec(),
-                                schedule=sched, T=T, x0=DenseVector([1.0]), seed=11)
-                floors.append(run(cfg).floor_estimate())
-            return min(floors)
+            return min(
+                run(RunConfig(problem=inst, aggregator=agg, attack=AttackSpec(),
+                              schedule=ScheduleSpec(stepsize="constant", gamma0=g,
+                                                    momentum=momentum, c_beta=36.0),
+                              T=T, x0=DenseVector([1.0]), seed=11)).floor_estimate()
+                for g in gammas
+            )
 
-        plain = best(False)
-        mom = best(True)
-        return 0.0, mom - plain, mom < plain
+        plain = best("zero")
+        mom = best("tied")
+        return 0.0, mom - plain, 0.0, mom < plain
 
     _timed(rows, "momentum_noise_suppression",
            "on a G=0, B=0, sigma>0 instance the tied-momentum floor is "
            "strictly below the momentum-free floor at matched tuned steps "
            "(reported: floor difference, negative = suppression)",
-           suppression, float("nan"))
-    rows[-1].tolerance = 0.0
+           suppression)
 
 
 def check_robustness_props(rows, suite):
@@ -444,11 +432,11 @@ def check_robustness_props(rows, suite):
             for spec in specs:
                 out = aggregate(spec, ups).values
                 worst = max(worst, float(np.max(np.abs(out - v))))
-        return 0.0, worst
+        return 0.0, worst, 1e-12
 
     _timed(rows, "robust_zero_dispersion",
            "identical inputs are a fixed point of every rule",
-           zero_dispersion, 1e-12)
+           zero_dispersion)
 
     def translation():
         worst = 0.0
@@ -460,11 +448,11 @@ def check_robustness_props(rows, suite):
                 a = aggregate(spec, ups).values
                 b = aggregate(spec, shifted).values
                 worst = max(worst, float(np.max(np.abs(b - (a + shift)))))
-        return 0.0, worst
+        return 0.0, worst, 1e-9
 
     _timed(rows, "robust_translation",
            "A(x_1+c, ..., x_n+c) = A(x_1, ..., x_n) + c",
-           translation, 1e-9)
+           translation)
 
     def krum_brute():
         trials = 50 if suite == "full" else 25
@@ -493,11 +481,11 @@ def check_robustness_props(rows, suite):
             ref = pts[picked].mean(axis=0)
             mout = aggregate(mspec, ups).values
             worst = max(worst, float(np.max(np.abs(mout - ref))))
-        return 0.0, worst
+        return 0.0, worst, 1e-12
 
     _timed(rows, "krum_bruteforce",
            "rule output equals the brute-force score argmin / stable top-q mean",
-           krum_brute, 1e-12)
+           krum_brute)
 
     def gm_median():
         worst = 0.0
@@ -507,14 +495,23 @@ def check_robustness_props(rows, suite):
             spec = AggregatorSpec(rule="gm", n=n, b=0)
             out = aggregate(spec, [DenseVector([p]) for p in pts]).values[0]
             worst = max(worst, abs(out - float(np.median(pts))))
-        return 0.0, worst
+        return 0.0, worst, 1e-6
 
     _timed(rows, "gm_vs_median",
            "smoothed Weiszfeld in 1-D matches the coordinate median "
            "(odd counts; the median is the exact geometric median)",
-           gm_median, 1e-6)
+           gm_median)
 
     def oracle_ratio():
+        def ratio_error(spec, pts, ctx):
+            """|ratio - kappa| of one aggregation, 0 at zero dispersion."""
+            ups = [DenseVector(p) for p in pts]
+            out = aggregate(spec, ups, honest_ids=list(range(len(pts))), context=ctx).values
+            mean = pts.mean(axis=0)
+            disp = float(((pts - mean) ** 2).sum(axis=1).mean())
+            dev = float(np.sum((out - mean) ** 2))
+            return abs(dev / disp - spec.kappa) if disp > 1e-18 else 0.0
+
         worst = 0.0
         # variance_sign on arbitrary clouds
         inst = build_synthetic_family(n=6, k=2, a=1.0, G=1.0, B=0.5)
@@ -522,47 +519,34 @@ def check_robustness_props(rows, suite):
                               variant="variance_sign")
         for _ in range(20):
             pts = rng.normal(0, 2, size=(6, 2))
-            ups = [DenseVector(p) for p in pts]
             x = DenseVector(rng.normal(0, 1, size=2))
             ctx = OracleContext(x=x, x_star=DenseVector(np.zeros(2)), instance=inst)
-            out = aggregate(spec, ups, honest_ids=list(range(6)), context=ctx).values
-            mean = pts.mean(axis=0)
-            disp = float(((pts - mean) ** 2).sum(axis=1).mean())
-            dev = float(np.sum((out - mean) ** 2))
-            if disp > 1e-18:
-                worst = max(worst, abs(dev / disp - 0.3))
+            worst = max(worst, ratio_error(spec, pts, ctx))
         # hetero_c1 on its construction
         hinst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5, kappa=0.2)
         hspec = AggregatorSpec(rule="oracle_adversarial", n=2, b=0, kappa=0.2,
                                variant="hetero_c1")
         for _ in range(20):
             x = DenseVector(rng.normal(0, 2, size=1))
-            pts2 = hinst.grads(x.values)
             ctx = OracleContext(x=x, x_star=hinst.analytic.x_star, instance=hinst)
-            ups = [DenseVector(g) for g in pts2]
-            out = aggregate(hspec, ups, honest_ids=[0, 1], context=ctx).values
-            mean = pts2.mean(axis=0)
-            disp = float(((pts2 - mean) ** 2).sum(axis=1).mean())
-            dev = float(np.sum((out - mean) ** 2))
-            if disp > 1e-18:
-                worst = max(worst, abs(dev / disp - 0.2))
-        return 0.0, worst
+            worst = max(worst, ratio_error(hspec, hinst.grads(x.values), ctx))
+        return 0.0, worst, 1e-10
 
     _timed(rows, "oracle_ratio",
            "adversarial oracle rules realize ||A - mean||^2 = kappa * dispersion "
            "exactly (max |ratio - kappa|)",
-           oracle_ratio, 1e-10)
+           oracle_ratio)
 
     def kappa_hat():
         spec = AggregatorSpec(rule="oracle_adversarial", n=6, b=0, kappa=0.3,
                               variant="variance_sign")
         est = estimate_kappa(spec, samples=200, dim=2,
                              rng=RngStream(5, 0, "verify-kh"))
-        return 0.3, est.kappa_hat
+        return 0.3, est.kappa_hat, 1e-10
 
     _timed(rows, "kappa_hat_oracle",
            "empirical worst-case ratio estimate recovers the oracle's kappa",
-           kappa_hat, 1e-10)
+           kappa_hat)
 
 
 def _dissimilarity_gap_grid(inst, G, B, X) -> np.ndarray:
@@ -609,13 +593,13 @@ def check_certifier(rows, suite):
                 wgap = float(_dissimilarity_gap_grid(inst, G, B, w)[0])
                 if wgap <= 0.0:
                     disagreements += 1
-        return 0.0, float(disagreements)
+        return 0.0, float(disagreements), 0.0
 
     _timed(rows, "certifier_grid_agreement",
            "exact separable-quadratic certificate vs independent dense grid: "
            "no false passes (grid finds no violation when certified) and no "
            "false fails (returned witness violates the bound)",
-           agreement, 0.0)
+           agreement)
 
 
 def check_rate(rows, suite):
@@ -642,26 +626,26 @@ def check_rate(rows, suite):
             a > b for a, b in zip(avgs, avgs[1:])
         )
         state_fit["avgs"] = avgs
-        return 0.425, worst, ok
+        return 0.425, worst, 0.175, ok
 
     state_fit = {}
     _timed(rows, "rate_ratio_band",
            "time-averaged grad-norm^2 scales ~ 1/sqrt(T); successive-horizon "
            "ratio band [0.25, 0.6] encoded as midpoint 0.425 +/- 0.175 "
            "(ideal 10^{-1/2} = 0.316)",
-           ratios, 0.175)
+           ratios)
 
     def fit():
         avgs = state_fit["avgs"]
         inv = np.array([1.0 / math.sqrt(T) for T in Ts])
         c = float(np.dot(avgs, inv) / np.dot(inv, inv))  # LS through origin
         resid = max(abs(a - c * v) / a for a, v in zip(avgs, inv))
-        return 0.0, resid
+        return 0.0, resid, 0.35
 
     _timed(rows, "rate_fit_residual",
            "least-squares fit avg = c/sqrt(T) (zero Byzantine floor): "
            "max relative residual",
-           fit, 0.35)
+           fit)
 
 
 def run_verification(suite: str = "fast") -> VerificationReport:

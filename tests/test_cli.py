@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from robustsgd import configfile
 from robustsgd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 from robustsgd.configfile import (
     load_run_config,
+    materialize,
     parse_config_text,
     render_config,
     resolve,
@@ -24,10 +26,13 @@ from robustsgd.sweep import (
     SweepCell,
     SweepResult,
     SweepSpec,
+    cell_kv,
     cell_seed,
     load_sweep,
     run_cell,
+    run_sweep,
 )
+from robustsgd.trainer import run
 from test_tracer_sites import workloads  # perfbench/workloads.py, loaded from perfbench/
 
 
@@ -64,6 +69,26 @@ sweep.metric = floor_estimate
 sweep.B_sq = 0.0,0.25
 sweep.kappa = 0.05,0.1
 """
+
+# a noisy random-quadratic base: the seed a sweep cell derives decides its result
+NOISY_QUADRATIC = """\
+problem.kind = random_quadratic
+problem.n = 5
+problem.d = 2
+problem.noise = gaussian
+problem.sigma = 0.5
+schedule.gamma0 = 0.01
+run.T = 60
+run.seed = 3
+"""
+
+
+def _plain(seed, overrides):
+    """The RunConfig of NOISY_QUADRATIC with run.seed = seed and the raw key
+    values `overrides`, built as a plain run config, without the sweep."""
+    raw = {**parse_config_text(NOISY_QUADRATIC), **overrides, "run.seed": str(seed)}
+    return materialize(resolve(raw)).config
+
 
 # a random-quadratic instance every rule accepts, for the unread-key warnings
 UNREAD_KEYS = """\
@@ -447,6 +472,58 @@ class TestSweepCommand:
             assert cell_seed(spec.seed, index) == cell_seed(5, index)
         assert len({cell_seed(5, i) for i in range(4)}) == 4
 
+    def test_replicates_average_the_floor_of_runs_at_derived_seeds(self, tmp_path):
+        spec = load_sweep(_write(tmp_path / "s.cfg", NOISY_QUADRATIC
+                                 + "run.replicates = 3\nsweep.gamma0 = 0.05,0.1\n"))
+        for cell in run_sweep(spec).cells:
+            gamma0 = cell.params["gamma0"]
+            config = _plain(cell.seed, {"schedule.gamma0": repr(gamma0)})
+            floors = [
+                run(replace(config, seed=int(
+                    np.random.SeedSequence([cell.seed, r]).generate_state(1)[0]
+                ))).floor_estimate()
+                for r in range(3)
+            ]
+            assert len(set(floors)) == 3  # the replicates really differ
+            assert cell.status == "ok"
+            assert cell.metric == float(np.mean(floors))
+
+    def test_final_f_gap_reports_the_last_gap(self, tmp_path):
+        spec = load_sweep(_write(tmp_path / "s.cfg", NOISY_QUADRATIC
+                                 + "sweep.metric = final_f_gap\nsweep.T = 40,60\n"))
+        for cell in run_sweep(spec).cells:
+            T = cell.params["T"]
+            record = run(_plain(cell.seed, {"run.T": str(T)}))
+            assert cell.status == "ok"
+            assert cell.metric == float(record.f_gap[-1])
+
+    def test_final_f_gap_fails_a_cell_without_a_minimizer(self, tmp_path):
+        text = ("problem.kind = classification\nproblem.n = 3\n"
+                "problem.samples_per_class = 4\nrun.T = 5\n"
+                "sweep.metric = final_f_gap\n")
+        (cell,) = run_sweep(load_sweep(_write(tmp_path / "s.cfg", text))).cells
+        assert cell.status == "failed" and cell.metric is None
+        assert cell.error == (
+            "ConfigurationError: final_f_gap is undefined on this instance "
+            "(no known minimizer); use the floor_estimate metric")
+
+    def test_momentum_tokens_reach_the_cell_schedule(self, tmp_path):
+        # gamma0 * L <= 0.01 * 2.5 = 1/40 stays inside tied:20's bound 1/20
+        spec = load_sweep(_write(tmp_path / "s.cfg", NOISY_QUADRATIC
+                                 + "sweep.momentum = constant:0.5,tied:20\n"))
+        plain = {
+            "constant:0.5": {"schedule.momentum": "constant", "schedule.beta": "0.5"},
+            "tied:20": {"schedule.momentum": "tied", "schedule.c_beta": "20"},
+        }
+        cells = run_sweep(spec).cells
+        assert [c.params["momentum"] for c in cells] == list(plain)
+        for cell in cells:
+            config = _plain(cell.seed, plain[cell.params["momentum"]])
+            sched = materialize(cell_kv(spec, cell.params)).config.schedule
+            assert sched == config.schedule
+            assert cell.status == "ok"
+            assert cell.metric == run(config).floor_estimate()
+
     def test_best_tie_goes_to_lowest_index(self):
         spec = SweepSpec(base_kv={})
         cells = [
@@ -471,6 +548,10 @@ class TestVerifyCommand:
         payload = json.loads(sep.strip() + tail)
         assert payload["passed"] is True
         assert all(row["passed"] for row in payload["rows"])
+        # every row states the tolerance its verdict applied
+        for row in payload["rows"]:
+            tol = row["tolerance"]
+            assert isinstance(tol, float) and math.isfinite(tol) and tol >= 0, row["name"]
         # the benchmark's verify op reads this same stdout with its own parser
         assert workloads.verify_json(stdout) == payload
 

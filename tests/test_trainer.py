@@ -215,6 +215,15 @@ class TestTheoremSchedules:
         # derived gamma0 satisfies the tied-momentum step bound
         assert sched.gamma0 * inst.analytic.L <= 1.0 / 36.0
 
+    def test_s0_on_an_integer_bound_is_the_next_integer(self):
+        # mu = 1, B = 0 make L = 1 and both lower bounds exact integers:
+        #   plain, delta = 1/8: alpha1 = 2*(1/2 - 1/4) = 1/2, 2L/(delta*alpha1) = 32
+        #   momentum: alpha4 = 3/8, 72L/alpha4 = 192
+        # s0 must lie strictly above the bound, so an integer bound moves up one
+        inst = build_noise_lower_bound(mu=1.0, B=0.0, sigma=1.0)
+        assert pl_schedule_for_plain(inst, kappa=0.1, delta=0.125).s0 == 33.0
+        assert pl_schedule_for_momentum(inst, kappa=0.1).s0 == 193.0
+
     def test_momentum_schedule_gate(self):
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=1.0)
         with pytest.raises(ConfigurationError, match="1/56"):
