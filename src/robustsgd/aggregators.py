@@ -419,6 +419,8 @@ def estimate_kappa(
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    if dim < 1:
+        raise ConfigurationError("dim must be >= 1")
     if spec.honest_aware and spec.variant != "variance_sign":
         raise ConfigurationError(
             "estimate_kappa supports the variance_sign oracle variant only; "

@@ -10,6 +10,7 @@ works on ndarrays).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -153,12 +154,70 @@ def _words(n: int) -> list:
     return words
 
 
+def _key_words(seed64: int, worker: int, purpose: str) -> np.ndarray:
+    """The key [seed mod 2^64, worker, *utf-8 bytes of purpose] as the
+    uint32 words SeedSequence would derive from that list."""
+    key = _words(seed64) + _words(worker)
+    key.extend(purpose.encode("utf-8"))
+    return np.array(key, dtype=np.uint32)
+
+
+# Keys whose PCG64 seed words a process keeps, least recently used out first.
+_SEED_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_SEED_MEMO)
+def _seed_words(seed64: int, worker: int, purpose: str) -> np.ndarray:
+    """The four uint64 words SeedSequence(key) hands PCG64, read-only."""
+    # Every _KeyedSeed carries words from here, so this registration is in
+    # effect before PCG64 checks one. Subclassing instead would import
+    # numpy.random with this module: 13 ms more per `import robustsgd`.
+    np.random.bit_generator.ISpawnableSeedSequence.register(_KeyedSeed)
+    seq = np.random.SeedSequence(_key_words(seed64, worker, purpose))
+    words = seq.generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _KeyedSeed:
+    """SeedSequence(key) as PCG64 sees it: its seed words come from the memo.
+    Anything else (pool, entropy, spawn, ...) goes to a fresh
+    SeedSequence(key) built on first use and owned by this seed alone, so
+    two streams of one key share no spawn counter."""
+
+    __slots__ = ("_key", "_words", "_seq")
+
+    def __init__(self, key: tuple, words: np.ndarray):
+        self._key, self._words, self._seq = key, words, None
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self._words
+        return self._sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._sequence().spawn(n_children)
+
+    def _sequence(self) -> np.random.SeedSequence:
+        if self._seq is None:
+            self._seq = np.random.SeedSequence(_key_words(*self._key))
+        return self._seq
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._sequence(), name)
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, worker, purpose).
 
-    Identical keys yield identical draw sequences regardless of thread
-    schedule or creation order; distinct keys give statistically
-    independent streams (counter-based splitting via SeedSequence).
+    Identical keys yield identical draw sequences regardless of creation
+    order; distinct keys give statistically independent streams
+    (counter-based splitting via SeedSequence). A process keeps the PCG64
+    seed words of its last _SEED_MEMO = 1024 keys, about 250 bytes each, so
+    a key built again in one process skips SeedSequence's hash. The words are
+    SeedSequence(key)'s, so every draw is bitwise the same either way.
     """
 
     __slots__ = ("seed", "worker", "purpose", "_gen")
@@ -167,12 +226,8 @@ class RngStream:
         self.seed = int(seed)
         self.worker = int(worker)
         self.purpose = str(purpose)
-        # the key [seed mod 2^64, worker, *utf-8 bytes of purpose] as the
-        # uint32 words SeedSequence would derive from that list
-        key = _words(self.seed & 0xFFFFFFFFFFFFFFFF) + _words(self.worker)
-        key.extend(self.purpose.encode("utf-8"))
-        self._gen = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(np.array(key, dtype=np.uint32))))
+        key = (self.seed & 0xFFFFFFFFFFFFFFFF, self.worker, self.purpose)
+        self._gen = np.random.Generator(np.random.PCG64(_KeyedSeed(key, _seed_words(*key))))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -602,7 +602,10 @@ def certify_dissimilarity(instance: ProblemInstance, G: float, B: float) -> Cert
     alpha_j within 1e-12 (relative to its constituent terms) of zero is
     treated as zero, in particular any alpha_j in (-1e-12, 0); same for
     beta_j. Coefficients at that level are cancellation residue, not signal.
+    G and B must be finite and >= 0.
     """
+    if not (0.0 <= G < math.inf and 0.0 <= B < math.inf):
+        raise ConfigurationError(f"G and B must be finite and >= 0; got G={G}, B={B}")
     if not instance.is_quadratic:
         raise ConfigurationError("certify_dissimilarity supports quadratic instances only")
     A, C = instance._honest_coefficients  # (h, d)

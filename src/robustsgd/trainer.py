@@ -343,15 +343,15 @@ def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
             out[:, w] = starts[w] + stream.generator.integers(
                 0, sizes[w], size=(steps, noise.m))
         return out
-    out = np.zeros((steps, n, d))
-    s = noise.sigma / math.sqrt(d)
+    slabs = np.zeros((n, steps, d))  # slab w is worker w's draws, in draw order
     for w, stream in streams.items():
         gen = stream.generator
         if noise.kind == "gaussian":
-            out[:, w] = s * gen.standard_normal((steps, d))
+            gen.standard_normal(out=slabs[w])
         else:
-            out[:, w] = s * (1.0 - 2.0 * gen.integers(0, 2, size=(steps, d)))
-    return out
+            slabs[w] = 1.0 - 2.0 * gen.integers(0, 2, size=(steps, d))
+    slabs *= noise.sigma / math.sqrt(d)
+    return slabs.transpose(1, 0, 2)
 
 
 # Iterates per honest_grads call in a block's metrics pass: the pass holds a

@@ -671,6 +671,25 @@ class TestToolCommands:
         assert payload["status"] == "fail" and payload["margin"] is None
         assert all(math.isfinite(v) for v in payload["witness"])
 
+    @pytest.mark.parametrize("G, B", [("nan", "0.5"), ("1.0", "nan"), ("inf", "0"),
+                                      ("1.0", "inf"), ("-1", "0.5"), ("1.0", "-0.5")])
+    def test_certify_refuses_g_or_b_not_finite_and_nonnegative(self, tmp_path, capsys, G, B):
+        # nan compared false everywhere and passed; G = inf made gamma0 = -inf,
+        # so a "fail" witness did not violate anything
+        cfg = _write(tmp_path / "c.cfg", "problem.kind = random_quadratic\n")
+        rc = main(["certify", "--instance", cfg, "--G", G, "--B", B])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "G and B must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_estimate_kappa_refuses_dim_below_one(self, capsys, dim):
+        rc = main(["estimate-kappa", "--rule", "cwm", "--n", "6", "--b", "2",
+                   "--samples", "5", "--dim", dim])
+        assert rc == EXIT_CONFIG
+        assert "dim must be >= 1" in capsys.readouterr().err
+
 
 # ---- exit codes and process entry -------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustsgd import core
 from robustsgd.core import (
     ConfigurationError,
     DenseVector,
@@ -137,6 +138,49 @@ class TestRngStream:
     def test_negative_worker_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             RngStream(0, -1, "noise")
+
+
+def _reference(seed, worker, purpose):
+    key = [seed & 0xFFFFFFFFFFFFFFFF, worker, *purpose.encode("utf-8")]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def _draws(gen):
+    return gen.standard_normal(5).tobytes() + gen.integers(0, 2**63, size=5).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -3])
+@pytest.mark.parametrize("worker", [0, 1, 5, 2**32 + 1])
+@pytest.mark.parametrize("purpose", ["noise", "données-µ"])
+class TestSeedMemoKeys:
+    def test_cold_warm_and_evicted_streams_draw_the_reference(self, seed, worker, purpose):
+        want = _draws(_reference(seed, worker, purpose))
+        core._seed_words.cache_clear()
+        cold = RngStream(seed, worker, purpose).generator
+        warm = RngStream(seed, worker, purpose).generator
+        assert core._seed_words.cache_info()[:2] == (1, 1)  # (hits, misses)
+        for w in range(core._SEED_MEMO):
+            RngStream(1, w, "evict")
+        assert core._seed_words.cache_info().currsize == core._SEED_MEMO
+        evicted = RngStream(seed, worker, purpose).generator
+        assert core._seed_words.cache_info()[:2] == (1, 2 + core._SEED_MEMO)
+        assert _draws(cold) == _draws(warm) == _draws(evicted) == want
+        # any other request goes to the key's own SeedSequence
+        assert (cold.bit_generator.seed_seq.generate_state(8).tobytes()
+                == _reference(seed, worker, purpose).bit_generator.seed_seq
+                .generate_state(8).tobytes())
+
+    def test_two_streams_of_one_key_spawn_equal_children(self, seed, worker, purpose):
+        a = RngStream(seed, worker, purpose).generator
+        b = RngStream(seed, worker, purpose).generator
+        ref = _reference(seed, worker, purpose)
+        a_first, a_second = a.spawn(2), a.spawn(2)
+        b_first = b.spawn(2)  # a's two spawns leave b's counter at 0
+        want_first, want_second = ref.spawn(2), ref.spawn(2)
+        for x, y, z in zip(a_first, b_first, want_first):
+            assert _draws(x) == _draws(y) == _draws(z)
+        for x, z in zip(a_second, want_second):
+            assert _draws(x) == _draws(z)
 
 
 class TestRunConfig:

@@ -354,6 +354,29 @@ class TestReproducibility:
         b = run(_cfg(inst, T=80, seed=13))
         assert not np.array_equal(a.xs, b.xs)
 
+    def test_a_repeated_run_builds_no_seed_sequence(self, monkeypatch):
+        # the adversarial_quadratic benchmark's cwtm+alie config: the second
+        # run takes every noise stream's seed words from the memo
+        inst = with_noise(
+            build_random_quadratic_family(n=20, d=10, rng=RngStream(3, 0, "instance"), b=4),
+            NoiseModel("gaussian", sigma=0.5),
+        )
+        byz = frozenset(range(16, 20))
+        cfg = _cfg(inst, rule="cwtm", q=4, T=15, seed=3,
+                   attack=AttackSpec(kind="alie", byzantine_ids=byz))
+        first = run(cfg)
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        second = run(cfg)
+        assert built == []
+        assert first.xs.tobytes() == second.xs.tobytes()
+
     def test_replicate_path_reproducible(self):
         inst = build_noise_lower_bound(mu=1.0, B=0.5, sigma=1.0, kappa=0.1)
         sched = ScheduleSpec(stepsize="constant", gamma0=0.05)
