@@ -183,19 +183,46 @@ def geometric_median(mat: np.ndarray, iters: int = 50, nu: float = 1e-8) -> np.n
     nu is an absolute floor on the distances, not one relative to the
     inputs' scale: the rule is scale-equivariant (gm(c X) = c gm(X)) only
     when nu is scaled by c too.
+
+    The rounds run over a worker-major (n, R, d) copy of the C-ordered
+    stack flattened to (R, n, d), with each beta summed over a contiguous
+    (R, n) row, except at d = 1, where they stay in the input's layout.
+    NumPy sums a contiguous axis pairwise and a strided one in order, and
+    the input's n axis is contiguous only at d = 1, so every sum adds in
+    the order it has over the input.
     """
-    v = mat.mean(axis=-2)
+    *lead, n, d = mat.shape
+    m = mat.reshape(-1, n, d)      # (R, n, d)
+    v = m.mean(axis=1)
+    worker_major = d > 1
+    w = np.ascontiguousarray(m.transpose(1, 0, 2)) if worker_major else m
+    v_at_w = (1, -1, d) if worker_major else (-1, 1, d)
+    diff = np.empty(w.shape)
+    sq = np.empty(w.shape[:2])
+    beta = np.empty((len(m), n))   # contiguous (R, n) rows
+    den = np.empty((len(m), 1))
+    sq_rows = sq.T if worker_major else sq
+    beta_at_w = (beta.T if worker_major else beta)[..., None]
+    num = np.empty_like(v)
     seen = [v]                     # seen[k]: the iterate after k rounds
     first = {v.tobytes(): 0}       # iterate bytes -> first round holding them
     for i in range(1, iters + 1):
-        dist = np.sqrt(((mat - v[..., None, :]) ** 2).sum(axis=-1))
-        beta = 1.0 / np.maximum(nu, dist)
-        v = (beta[..., None] * mat).sum(axis=-2) / beta.sum(axis=-1, keepdims=True)
+        np.subtract(w, v.reshape(v_at_w), diff)
+        np.multiply(diff, diff, diff)
+        np.add.reduce(diff, axis=2, out=sq)
+        np.sqrt(sq_rows, beta)
+        np.maximum(nu, beta, out=beta)  # its positional out is deprecated
+        np.reciprocal(beta, beta)
+        np.multiply(beta_at_w, w, diff)
+        np.add.reduce(diff, axis=0 if worker_major else 1, out=num)
+        np.add.reduce(beta, axis=1, out=den, keepdims=True)
+        v = num / den
         j = first.setdefault(v.tobytes(), i)
         if j != i:                 # v_i == v_j: period i - j from round j on
-            return seen[j + (iters - j) % (i - j)]
+            v = seen[j + (iters - j) % (i - j)]
+            break
         seen.append(v)
-    return v
+    return v.reshape(*lead, d)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,15 @@ def _row_mean(rows: np.ndarray) -> np.ndarray:
 # constructive families
 
 
+def _require_finite(positive: bool = False, **values: float) -> None:
+    """Refuse, by name, a value that is not finite and >= 0 (> 0 when
+    positive); NaN fails every comparison, so it is refused too."""
+    op = ">" if positive else ">="
+    for name, v in values.items():
+        if not ((v > 0.0 if positive else v >= 0.0) and v < math.inf):
+            raise ConfigurationError(f"{name} must be finite and {op} 0; got {name}={v}")
+
+
 def build_hetero_lower_bound(
     mu: float, G: float, B: float, kappa: Optional[float] = None, d: int = 1
 ) -> ProblemInstance:
@@ -399,10 +408,8 @@ def build_hetero_lower_bound(
     the drifted fixed point x_F* = sqrt(kappa)*eps / (mu - sqrt(kappa)*delta)
     of the adversarial aggregation rule is stored per coordinate.
     """
-    if not mu > 0:
-        raise ConfigurationError("mu must be > 0")
-    if G < 0 or B < 0:
-        raise ConfigurationError("G and B must be >= 0")
+    _require_finite(True, mu=mu)
+    _require_finite(G=G, B=B)
     if d < 1:
         raise ConfigurationError("d must be >= 1")
     delta = math.sqrt(3.0) * B * mu / 2.0
@@ -414,8 +421,7 @@ def build_hetero_lower_bound(
     pop = WorkerPopulation(n=2, b=0)
     x_F = None
     if kappa is not None:
-        if kappa < 0:
-            raise ConfigurationError("kappa must be >= 0")
+        _require_finite(kappa=kappa)
         drift_curv = mu - math.sqrt(kappa) * delta
         if not drift_curv > 0:
             raise ConfigurationError(
@@ -445,17 +451,14 @@ def build_noise_lower_bound(
     With `kappa`, stores the drifted fixed point
     x_F* = (sqrt(kappa)*sigma/2) / (mu*(1 - sqrt(kappa)*B/2)).
     """
-    if not mu > 0:
-        raise ConfigurationError("mu must be > 0")
-    if B < 0 or sigma < 0:
-        raise ConfigurationError("B and sigma must be >= 0")
+    _require_finite(True, mu=mu)
+    _require_finite(B=B, sigma=sigma)
     f1 = QuadraticLocal(np.array([(1 + B) * mu]), np.zeros(1))
     f2 = QuadraticLocal(np.array([(1 - B) * mu]), np.zeros(1))
     pop = WorkerPopulation(n=2, b=0)
     x_F = None
     if kappa is not None:
-        if kappa < 0:
-            raise ConfigurationError("kappa must be >= 0")
+        _require_finite(kappa=kappa)
         denom = mu * (1.0 - math.sqrt(kappa) * B / 2.0)
         if not denom > 0:
             raise ConfigurationError(
@@ -489,10 +492,8 @@ def build_synthetic_family(
     """
     if not (0 < 2 * k < n):
         raise ConfigurationError(f"need 0 < 2k < n, got n={n}, k={k}")
-    if not a > 0:
-        raise ConfigurationError("a must be > 0")
-    if G < 0 or B < 0:
-        raise ConfigurationError("G and B must be >= 0")
+    _require_finite(True, a=a)
+    _require_finite(G=G, B=B)
     bound = 2.0 * k / (n - 2 * k)
     if not B * B < bound:
         raise ConfigurationError(

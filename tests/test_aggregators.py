@@ -21,6 +21,7 @@ from robustsgd.aggregators import (
     multi_krum,
     oracle_adversarial,
 )
+from robustsgd.attacks import DEFAULT_ALIE_CANDIDATES
 from robustsgd.core import ConfigurationError, DenseVector, NumericFailure, RngStream
 from robustsgd.problems import build_hetero_lower_bound, build_noise_lower_bound
 
@@ -371,13 +372,16 @@ def _stacked_specs(n, b, q_krum, q_trim):
     ]
 
 
-def _assert_rows_match_single(spec, stack, honest_ids, ctx):
+def _assert_rows_match_single(spec, stack, honest_ids=None, ctx=None):
+    """Each input of an (..., n, d) stack, aggregated alone from a list,
+    gives the bytes of its row of the stacked output."""
+    n, d = stack.shape[-2:]
     outs = aggregate(spec, stack, honest_ids=honest_ids, context=ctx)
-    assert outs.shape == stack.shape[:1] + stack.shape[2:]
-    for r in range(stack.shape[0]):
-        single = aggregate(spec, [DenseVector(v) for v in stack[r]],
+    assert outs.shape == stack.shape[:-2] + (d,)
+    for r, rows in enumerate(stack.reshape(-1, n, d)):
+        single = aggregate(spec, [DenseVector(v) for v in rows],
                            honest_ids=honest_ids, context=ctx).values
-        assert outs[r].tobytes() == single.tobytes(), (spec.rule, r)
+        assert outs.reshape(-1, d)[r].tobytes() == single.tobytes(), (spec.rule, r)
 
 
 class TestStackedInputs:
@@ -529,10 +533,42 @@ class TestWeiszfeldCycleStop:
         want = _fixed_round_gm(mat, 2)
         calls = []
         sqrt = np.sqrt
-        monkeypatch.setattr(np, "sqrt", lambda x: calls.append(1) or sqrt(x))
+        monkeypatch.setattr(np, "sqrt",
+                            lambda *args, **kwargs: calls.append(1) or sqrt(*args, **kwargs))
         out = geometric_median(mat, iters=10**6)
         assert len(calls) <= 2
         assert out.tobytes() == want.tobytes()
+
+
+class TestPairwiseSumBoundary:
+    """NumPy sums a contiguous axis of 8 or more entries pairwise and a
+    strided one in order, so gm's layout decides its bits once n or d
+    reaches 8. Pinned shapes on both sides of that edge; at d = 1 the
+    input's n axis is the contiguous one."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 9, 10])
+    @pytest.mark.parametrize("n", [8, 9, 17, 20])
+    def test_gm_is_every_round_and_rows_are_single_inputs(self, n, d, lead):
+        stack = np.random.default_rng([n, d, *lead]).normal(size=lead + (n, d))
+        for iters in (1, 2, 50):
+            assert (geometric_median(stack, iters).tobytes()
+                    == _fixed_round_gm(stack, iters).tobytes()), iters
+            _assert_rows_match_single(AggregatorSpec(rule="gm", n=n, iters=iters), stack)
+
+    def test_alie_probe_stack(self):
+        # the (6, 20, 10) stack alie's probe hands gm: 16 honest rows, and in
+        # each candidate's 4 Byzantine slots one probe vector
+        honest = np.random.default_rng(31).normal(size=(16, 10))
+        mu = honest.mean(axis=0)
+        sigma_dev = math.sqrt(((honest - mu) ** 2).sum())
+        stack = np.empty((6, 20, 10))
+        stack[...] = (mu + np.array(DEFAULT_ALIE_CANDIDATES)[:, None] * sigma_dev)[:, None]
+        stack[:, 4:] = honest
+        for iters in (1, 2, 50):
+            assert (geometric_median(stack, iters).tobytes()
+                    == _fixed_round_gm(stack, iters).tobytes()), iters
+            _assert_rows_match_single(AggregatorSpec(rule="gm", n=20, iters=iters), stack)
 
 
 class TestDispatchContract:

@@ -167,6 +167,38 @@ class TestSyntheticFamily:
             build_synthetic_family(n=10, k=5, a=1.0, G=1.0, B=0.5)
 
 
+# every numeric parameter of a constructive family, with legal values for
+# the others
+BUILDER_PARAMS = [
+    (build, kwargs, name)
+    for build, kwargs in (
+        (build_hetero_lower_bound, dict(mu=1.0, G=1.0, B=0.5, kappa=0.1)),
+        (build_noise_lower_bound, dict(mu=1.0, B=0.5, sigma=0.7, kappa=0.1)),
+        (build_synthetic_family, dict(n=20, k=7, a=1.0, G=1.0, B=0.5)),
+    )
+    for name in kwargs if name not in ("n", "k")
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("build, kwargs, name", BUILDER_PARAMS,
+                         ids=[f"{b.__name__}-{name}" for b, _, name in BUILDER_PARAMS])
+def test_builders_refuse_a_parameter_not_finite_and_nonnegative(build, kwargs, name, bad):
+    build(**kwargs)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite and >=? 0; got {name}="):
+        build(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize("build, kwargs", [
+    (build_hetero_lower_bound, dict(mu=0.0, G=1.0, B=0.5)),
+    (build_noise_lower_bound, dict(mu=0.0, B=0.5, sigma=0.7)),
+    (build_synthetic_family, dict(n=20, k=7, a=0.0, G=1.0, B=0.5)),
+])
+def test_builders_refuse_zero_curvature(build, kwargs):
+    with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+        build(**kwargs)
+
+
 # ---- random quadratic family ----------------------------------------------
 
 
