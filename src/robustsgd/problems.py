@@ -80,8 +80,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "bernoulli_pm", "minibatch"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be >= 0 and finite; got sigma={self.sigma}")
         if self.kind == "minibatch" and self.m < 1:
             raise ConfigurationError("minibatch size must be >= 1")
         if self.kind == "none":
@@ -728,6 +728,11 @@ def build_classification_task(
     """
     if n_classes < 2:
         raise ConfigurationError("need at least 2 classes")
+    for name, v in (("n_workers", n_workers), ("dim", dim),
+                    ("samples_per_class", samples_per_class)):
+        if v < 1:
+            raise ConfigurationError(f"{name} must be >= 1; got {name}={v}")
+    _require_finite(True, alpha=alpha)
     rng = RngStream(seed, worker=0, purpose="task-data").generator
     means = 3.0 * rng.standard_normal((n_classes, dim))
     X_all, y_all = [], []

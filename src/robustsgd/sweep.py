@@ -28,19 +28,21 @@ METRICS = ("floor_estimate", "final_f_gap")
 
 
 def _parse_momentum_token(tok: str):
-    parts = tok.split(":")
-    kind = parts[0]
-    if kind == "zero" and len(parts) == 1:
-        return ("zero", None)
-    if kind == "constant" and len(parts) == 2:
-        return ("constant", float(parts[1]))
-    if kind == "tied":
-        if len(parts) == 1:
-            return ("tied", 36.0)
-        if len(parts) == 2:
-            return ("tied", float(parts[1]))
+    kind, *values = tok.split(":")
+    try:
+        values = [float(v) for v in values]
+    except ValueError:
+        values = [math.nan]  # not a number: refused with the non-finite ones
+    if all(math.isfinite(v) for v in values):
+        if kind == "zero" and not values:
+            return ("zero", None)
+        if kind == "constant" and len(values) == 1:
+            return ("constant", values[0])
+        if kind == "tied" and len(values) <= 1:
+            return ("tied", values[0] if values else 36.0)
     raise ConfigurationError(
-        f"sweep momentum token {tok!r}: expected zero | constant:<beta> | tied[:<c_beta>]"
+        f"sweep momentum token {tok!r}: expected zero | constant:<beta> | tied[:<c_beta>] "
+        "with finite numbers"
     )
 
 
@@ -228,9 +230,7 @@ def _metric_of(config: RunConfig, metric: str) -> float:
     reps = config.replicates
     vals = []
     for r in range(reps):
-        cfg = config if reps == 1 else dc_replace(
-            config, seed=int(np.random.SeedSequence([config.seed, r]).generate_state(1)[0])
-        )
+        cfg = config if reps == 1 else dc_replace(config, seed=cell_seed(config.seed, r))
         record = run(cfg)
         if metric == "floor_estimate":
             vals.append(record.floor_estimate())

@@ -459,10 +459,16 @@ class TestSweepCommand:
         sweepfile = _write(tmp_path / "s.cfg", text)
         assert main(["sweep", sweepfile]) == EXIT_CONFIG
 
-    def test_bad_momentum_token(self, tmp_path):
-        text = "sweep.momentum = nesterov\n"
-        sweepfile = _write(tmp_path / "s.cfg", text)
-        assert main(["sweep", sweepfile]) == EXIT_CONFIG
+    # float() raised a bare ValueError out of main for constant:x, tied:abc
+    # and tied:, and passed inf and nan on
+    @pytest.mark.parametrize("token", ["nesterov", "constant:x", "tied:abc", "tied:",
+                                       "constant:inf", "tied:nan"])
+    def test_bad_momentum_token(self, tmp_path, capsys, token):
+        sweepfile = _write(tmp_path / "s.cfg", f"sweep.momentum = zero,{token}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: sweep momentum token {token!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cell_seeds_derive_from_master_and_index(self, tmp_path):
         sweepfile = _write(tmp_path / "s.cfg", SWEEP)
@@ -726,6 +732,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("problem.n = 0", "n_workers must be >= 1; got n_workers=0"),
+        ("problem.n = -1", "n_workers must be >= 1; got n_workers=-1"),
+        ("problem.dim = -2", "dim must be >= 1; got dim=-2"),
+        ("problem.samples_per_class = -3",
+         "samples_per_class must be >= 1; got samples_per_class=-3"),
+        ("problem.alpha = -1", "alpha must be finite and > 0; got alpha=-1.0"),
+        ("problem.alpha = 0", "alpha must be finite and > 0; got alpha=0.0"),
+    ])
+    def test_classification_size_out_of_range(self, tmp_path, capsys, line, message):
+        # each reached NumPy's sampler and left main as a ValueError traceback
+        cfg = _write(tmp_path / "c.cfg", f"problem.kind = classification\n{line}\nrun.T = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")

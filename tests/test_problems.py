@@ -275,6 +275,13 @@ class TestStochasticOracles:
         with pytest.raises(ConfigurationError, match="sigma must be >= 0"):
             NoiseModel("none", sigma=-1.0)
 
+    @pytest.mark.parametrize("kind,sigma", [("gaussian", math.nan),
+                                            ("bernoulli_pm", math.inf)])
+    def test_sigma_not_finite_is_refused(self, kind, sigma):
+        # nan compared false with 0 and passed; inf made every draw infinite
+        with pytest.raises(ConfigurationError, match="sigma must be >= 0 and finite"):
+            NoiseModel(kind, sigma=sigma)
+
     def test_zero_sigma_returns_exact_gradient(self):
         inst = with_noise(
             build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5),

@@ -10,12 +10,14 @@ notices. Both files are loaded from perfbench/ and never modified.
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robustsgd.trainer as trainer
+import robustsgd.verify as verify
 from robustsgd.aggregators import AggregatorSpec
 from robustsgd.attacks import AttackSpec
 from robustsgd.core import DenseVector, RngStream, RunConfig
@@ -61,6 +63,24 @@ def test_closed_form_timer_sites_resolve(site):
 
 def test_verify_check_hook_resolves():
     assert tracing._resolve("robustsgd.verify", "_timed") is not None
+
+
+def test_every_verify_run_happens_inside_its_rows_timed_call(monkeypatch):
+    # the tracer tags a row's spans by wrapping _timed, so a run made before
+    # _timed is entered (or after it returns) would lose its check:<row> tag
+    monkeypatch.setattr(verify, "CHECKS", (verify.check_hetero, verify.check_floor_formula))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = verify.run_verification("fast")
+    finally:
+        tracer.uninstall()
+    assert [r.name for r in report.rows] == [
+        "hetero_limit", "hetero_floor", "hetero_momentum_limit",
+        "floor_formula_synthetic", "floor_monotone"]
+    runs = Counter(span[2] for span in tracer.spans if span[3] == "trainer.run")
+    assert runs == {"check:hetero_limit": 1, "check:hetero_momentum_limit": 1,
+                    "check:floor_formula_synthetic": 9}
 
 
 def test_run_takes_the_config_first():
