@@ -86,7 +86,7 @@ _SWEEP_REGISTRY = {
     "sweep.seed": ("optint", None, "sweep master seed (default run.seed)"),
 }
 
-# keys that only some problem kinds, rules or attacks read:
+# keys that only some problem kinds, rules, attacks or schedules read:
 # key -> (selecting key, its readers). A reader (value, key) reads it only
 # while that other key is set to a noisy kind, not unset and not none.
 # problem.kappa is read for every kind (materialize's momentum warning), so
@@ -117,7 +117,26 @@ _READ_ONLY_BY = {
     "aggregator.q": ("aggregator.rule", ("multi_krum", "cwtm")),
     "aggregator.variant": ("aggregator.rule", ("oracle_adversarial",)),
     "attack.alphas": ("attack.kind", ("alie",)),
+    "schedule.s0": ("schedule.stepsize", ("pl_piecewise",)),
+    "schedule.alpha1": ("schedule.stepsize", ("pl_piecewise",)),
+    "schedule.T_max": ("schedule.stepsize", ("cosine",)),
+    "schedule.beta": ("schedule.momentum", ("constant",)),
+    "schedule.c_beta": ("schedule.momentum", ("tied",)),
 }
+
+
+def _keys(sweep: bool) -> dict:
+    """The registry a run file (sweep=False) or a sweep file reads."""
+    return {**_REGISTRY, **_SWEEP_REGISTRY} if sweep else _REGISTRY
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from None
+
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -126,9 +145,7 @@ _FALSE = {"false", "0", "no", "off"}
 def parse_config_text(text: str, allow_sweep_keys: bool = False) -> dict:
     """Parse flat key=value text into a raw {key: string} dict, validating
     key names and syntax (not yet values)."""
-    known = dict(_REGISTRY)
-    if allow_sweep_keys:
-        known.update(_SWEEP_REGISTRY)
+    known = _keys(allow_sweep_keys)
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,11 +201,8 @@ def _convert(key: str, tag: str, raw: str):
 
 def resolve(kv_raw: dict, allow_sweep_keys: bool = False) -> dict:
     """Apply defaults and convert every value to its declared type."""
-    known = dict(_REGISTRY)
-    if allow_sweep_keys:
-        known.update(_SWEEP_REGISTRY)
     out = {}
-    for key, (tag, default, _help) in known.items():
+    for key, (tag, default, _help) in _keys(allow_sweep_keys).items():
         if key in kv_raw:
             out[key] = _convert(key, tag, kv_raw[key])
         elif default is not None:
@@ -268,7 +282,7 @@ def _new_problem(kv: dict):
 
 
 def _reads(kv: dict, key: str) -> bool:
-    """Whether the configured problem kind, rule or attack reads `key`."""
+    """Whether the configured problem kind, rule, attack or schedule reads `key`."""
     selector, readers = _READ_ONLY_BY[key]
     return any(kv[selector] == r if isinstance(r, str)
                else kv[selector] == r[0] and kv[r[1]] not in (None, "none")
@@ -277,8 +291,8 @@ def _reads(kv: dict, key: str) -> bool:
 
 def _unread_keys(kv: dict) -> list:
     """A warning for each key set away from its default (or set at all,
-    if it has none) that the configured problem kind, rule or attack never
-    reads."""
+    if it has none) that the configured problem kind, rule, attack or
+    schedule never reads."""
     out = []
     for key, (selector, readers) in _READ_ONLY_BY.items():
         tag, default, _help = _REGISTRY[key]
@@ -357,22 +371,14 @@ def materialize(kv: dict) -> LoadedConfig:
 
 
 def load_run_config(path: str) -> LoadedConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
-    return materialize(resolve(parse_config_text(text)))
+    return materialize(resolve(parse_config_text(_read_text(path, "config"))))
 
 
 def render_config(kv: dict, sweep: bool = False) -> str:
     """Canonical echo of a resolved config (registry order, one key per
     line); round-trips through parse_config_text."""
-    known = dict(_REGISTRY)
-    if sweep:
-        known.update(_SWEEP_REGISTRY)
     lines = []
-    for key in known:
+    for key in _keys(sweep):
         val = kv.get(key)
         if val is None:
             continue

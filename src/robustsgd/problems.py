@@ -91,6 +91,34 @@ class NoiseModel:
     def deterministic(self) -> bool:
         return self.kind != "minibatch" and self.sigma == 0.0
 
+    def draw(self, streams: dict, steps: int, n: int, d: int, task=None) -> np.ndarray:
+        """The next `steps` noise draws of every worker, (steps, n, ...).
+
+        gaussian and bernoulli_pm: (steps, n, d) gradient perturbations; slice
+        [:, w] holds sigma/sqrt(d) times worker w's draws from its own stream,
+        standard normals (gaussian) or signs 1 - 2*xi with xi in {0, 1}
+        (bernoulli_pm). minibatch: (steps, n, m) indices into the task's
+        concatenated shards; slice [:, w] holds worker w's samples, drawn
+        uniformly with replacement from its own shard. One (steps, k) draw
+        equals `steps` draws of size k, bit for bit. Workers without a stream
+        get zero slices."""
+        if self.kind == "minibatch":
+            _, _, starts, sizes, _ = task.shards
+            out = np.zeros((steps, n, self.m), dtype=np.int64)
+            for w, stream in streams.items():
+                out[:, w] = starts[w] + stream.generator.integers(
+                    0, sizes[w], size=(steps, self.m))
+            return out
+        slabs = np.zeros((n, steps, d))  # slab w is worker w's draws, in draw order
+        for w, stream in streams.items():
+            gen = stream.generator
+            if self.kind == "gaussian":
+                gen.standard_normal(out=slabs[w])
+            else:
+                slabs[w] = 1.0 - 2.0 * gen.integers(0, 2, size=(steps, d))
+        slabs *= self.sigma / math.sqrt(d)
+        return slabs.transpose(1, 0, 2)
+
 
 @dataclass(frozen=True)
 class Analytic:
@@ -682,29 +710,22 @@ def stochastic_gradient(
     kind=none returns the exact gradient, row `worker` of grads(x);
     gaussian/bernoulli_pm perturb it with total second moment sigma^2;
     minibatch averages m per-sample gradients of the classification task
-    (sampled with replacement) by minibatch_grads, bitwise loss_grad.
+    (sampled with replacement) by minibatch_grads, bitwise loss_grad. The
+    draw is one step of NoiseModel.draw from rng.
     """
     if worker not in instance.pop.honest_ids:
         raise ContractViolation(
             f"worker {worker} is not honest; Byzantine outputs come from the attacks module"
         )
     noise = instance.noise
+    if noise.kind == "minibatch" and instance.task is None:
+        raise ConfigurationError("minibatch noise requires a classification task")
+    if noise.deterministic:
+        return DenseVector(instance.grads(x.values)[worker])
+    step = noise.draw({worker: rng}, 1, instance.pop.n, instance.dim, instance.task)[0, worker]
     if noise.kind == "minibatch":
-        if instance.task is None:
-            raise ConfigurationError("minibatch noise requires a classification task")
-        _, _, starts, sizes, _ = instance.task.shards
-        idx = rng.generator.integers(0, sizes[worker], size=noise.m)
-        return DenseVector(instance.task.minibatch_grads(x.values, starts[worker] + idx[None])[0])
-    g = instance.grads(x.values)[worker]
-    if noise.kind == "none" or noise.sigma == 0.0:
-        return DenseVector(g)
-    d = g.size
-    if noise.kind == "gaussian":
-        pert = noise.sigma / math.sqrt(d) * rng.generator.standard_normal(d)
-    else:  # bernoulli_pm: xi=0 -> +sigma, xi=1 -> -sigma (per coordinate)
-        xi = rng.generator.integers(0, 2, size=d)
-        pert = noise.sigma / math.sqrt(d) * (1.0 - 2.0 * xi)
-    return DenseVector(g + pert)
+        return DenseVector(instance.task.minibatch_grads(x.values, step[None])[0])
+    return DenseVector(instance.grads(x.values)[worker] + step)
 
 
 # ---------------------------------------------------------------------------

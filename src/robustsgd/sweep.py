@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Optional
 
 import numpy as np
 
-from .configfile import _REGISTRY, materialize, parse_config_text, resolve
+from .configfile import _REGISTRY, _read_text, materialize, parse_config_text, resolve
 from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RunConfig
 from .trainer import run
 
@@ -48,16 +48,13 @@ def _parse_momentum_token(tok: str):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base config plus grids. An absent axis is the singleton (None,),
-    meaning 'keep the base value' — every grid is therefore nonempty."""
+    """Base config plus grids: `grids` maps an axis of AXES to its values.
+    An absent or empty axis is the singleton (None,), meaning 'keep the
+    base value'."""
 
     base_kv: dict
     metric: str = "floor_estimate"
-    kappa_grid: tuple = (None,)
-    B_sq_grid: tuple = (None,)
-    gamma0_grid: tuple = (None,)
-    momentum_grid: tuple = (None,)
-    T_grid: tuple = (None,)
+    grids: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -65,60 +62,42 @@ class SweepSpec:
             raise ConfigurationError(
                 f"sweep metric must be one of {METRICS}, got {self.metric!r}"
             )
-        for name in AXES:
-            grid = getattr(self, f"{name}_grid")
-            if not grid:
-                object.__setattr__(self, f"{name}_grid", (None,))
+        if not set(self.grids) <= set(AXES):
+            raise ConfigurationError(f"sweep grids take the axes {AXES}; got {sorted(self.grids)}")
+        object.__setattr__(self, "grids", {a: tuple(self.grids.get(a) or (None,)) for a in AXES})
         if (
             self.base_kv.get("schedule.stepsize") == "pl_piecewise"
-            and any(v is not None for v in self.gamma0_grid)
+            and any(v is not None for v in self.grids["gamma0"])
         ):
             raise ConfigurationError(
                 "a gamma0 grid cannot be combined with the pl_piecewise stepsize "
                 "(gamma0 is derived as 2/(alpha1*s0))"
             )
-        for tok in self.momentum_grid:
+        for tok in self.grids["momentum"]:
             if tok is not None:
                 _parse_momentum_token(tok)
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod([len(getattr(self, f"{a}_grid")) for a in AXES]))
+        return int(np.prod([len(g) for g in self.grids.values()]))
 
     def cell_params(self):
         """All cells in canonical order as (index, {axis: value})."""
-        grids = [getattr(self, f"{a}_grid") for a in AXES]
-        for index, combo in enumerate(itertools.product(*grids)):
+        for index, combo in enumerate(itertools.product(*self.grids.values())):
             yield index, dict(zip(AXES, combo))
 
 
 def load_sweep(path: str) -> SweepSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read sweep file {path}: {exc}") from None
+    text = _read_text(path, "sweep")
     kv = resolve(parse_config_text(text, allow_sweep_keys=True), allow_sweep_keys=True)
     base_kv = {k: kv[k] for k in _REGISTRY}
     materialize(base_kv)  # surface base-config errors before any cell runs
-
-    def grid(key):
-        vals = kv.get(key)
-        return tuple(vals) if vals else (None,)
-
-    seed = kv.get("sweep.seed")
-    if seed is None:
-        seed = base_kv["run.seed"]
-    return SweepSpec(
-        base_kv=base_kv,
-        metric=kv["sweep.metric"],
-        kappa_grid=grid("sweep.kappa"),
-        B_sq_grid=grid("sweep.B_sq"),
-        gamma0_grid=grid("sweep.gamma0"),
-        momentum_grid=grid("sweep.momentum"),
-        T_grid=grid("sweep.T"),
-        seed=seed,
-    )
+    key = "sweep.seed" if kv["sweep.seed"] is not None else "run.seed"
+    if kv[key] < 0:
+        # cell_seed's SeedSequence takes only non-negative entropy
+        raise ConfigurationError(f"config key {key!r}: the sweep seed must be >= 0, got {kv[key]}")
+    return SweepSpec(base_kv=base_kv, metric=kv["sweep.metric"],
+                     grids={a: kv[f"sweep.{a}"] for a in AXES}, seed=kv[key])
 
 
 @dataclass

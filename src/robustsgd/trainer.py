@@ -287,23 +287,18 @@ def _validate(config: RunConfig) -> None:
     if attack.kind == "label_flip" and inst.task is None:
         raise ConfigurationError("label_flip requires a classification task")
     if config.schedule.momentum == "tied":
-        sched, T, L = config.schedule, config.T, inst.analytic.L
-        # bound the largest step: gamma_t falls in t but for two rises.
-        # pl_piecewise's second phase starts at 2/(alpha1*s0), which gamma0
-        # may undercut by up to 1e-9, and cosine is back at gamma0 at
-        # t = 2*T_max
+        sched, T = config.schedule, config.T
+        # schedules refuses a step past the bound; check the largest steps:
+        # gamma_t falls in t but for two rises. pl_piecewise's second phase
+        # starts at 2/(alpha1*s0), which gamma0 may undercut by up to 1e-9,
+        # and cosine is back at gamma0 at t = 2*T_max
         peaks = [1]
         if sched.stepsize == "pl_piecewise":
             peaks.append(max(T // 2, 1))
         elif sched.stepsize == "cosine" and 2 * sched.T_max <= T:
             peaks.append(2 * sched.T_max)
-        gamma, t = max((schedules(t, sched, T, L=L)[0], t) for t in peaks)
-        bound = 1.0 / sched.c_beta
-        if gamma * L > bound + 1e-15:
-            raise ConfigurationError(
-                f"tied momentum requires gamma_t * L <= 1/c_beta = {bound:.6g}; "
-                f"got gamma_t * L = {gamma * L:.6g} at t = {t}"
-            )
+        for t in peaks:
+            schedules(t, sched, T, L=inst.analytic.L)
 
 
 def _byzantine_honest_style(
@@ -322,36 +317,6 @@ def _byzantine_honest_style(
 # Steps of noise drawn at a time: a run holds at most this many steps of
 # perturbations or minibatch indices, whatever its horizon.
 _NOISE_BLOCK = 1024
-
-
-def _noise_block(noise, streams: dict, steps: int, n: int, d: int,
-                 task=None) -> np.ndarray:
-    """The next `steps` noise draws of every worker, (steps, n, ...).
-
-    gaussian and bernoulli_pm: (steps, n, d) gradient perturbations; slice
-    [:, w] holds sigma/sqrt(d) times worker w's draws from its own stream,
-    standard normals (gaussian) or signs 1 - 2*xi with xi in {0, 1}
-    (bernoulli_pm). minibatch: (steps, n, m) indices into the task's
-    concatenated shards; slice [:, w] holds worker w's samples, drawn
-    uniformly with replacement from its own shard. One (steps, k) draw
-    equals `steps` draws of size k, bit for bit. Workers without a stream
-    get zero slices."""
-    if noise.kind == "minibatch":
-        _, _, starts, sizes, _ = task.shards
-        out = np.zeros((steps, n, noise.m), dtype=np.int64)
-        for w, stream in streams.items():
-            out[:, w] = starts[w] + stream.generator.integers(
-                0, sizes[w], size=(steps, noise.m))
-        return out
-    slabs = np.zeros((n, steps, d))  # slab w is worker w's draws, in draw order
-    for w, stream in streams.items():
-        gen = stream.generator
-        if noise.kind == "gaussian":
-            gen.standard_normal(out=slabs[w])
-        else:
-            slabs[w] = 1.0 - 2.0 * gen.integers(0, 2, size=(steps, d))
-    slabs *= noise.sigma / math.sqrt(d)
-    return slabs.transpose(1, 0, 2)
 
 
 # Iterates per honest_grads call in a block's metrics pass: the pass holds a
@@ -405,9 +370,9 @@ def run(config: RunConfig) -> RunRecord:
     (h, d), since the crafted slots keep none. One call of
     ProblemInstance.grads per step (honest_grads under ALIE), at the new
     iterate, gives the next step's exact gradients of the rows m holds.
-    Each worker's noise comes from
-    blocks drawn ahead from its own (seed, worker, "noise") stream, bitwise
-    the draws a per-step oracle would make: perturbations added to the exact
+    Each worker's noise comes from blocks that NoiseModel.draw takes ahead
+    from its own (seed, worker, "noise") stream, bitwise the draws a
+    per-step oracle would make: perturbations added to the exact
     gradients, or, under minibatch noise, sample indices whose gradients,
     for every row m holds, take one batched pass over `oracle`'s shards
     (label-poisoned for the Byzantine workers under label_flip). Each row
@@ -496,9 +461,7 @@ def run(config: RunConfig) -> RunRecord:
 
                 k = (t - 1) % _NOISE_BLOCK
                 if streams and k == 0:
-                    block = _noise_block(
-                        noise, streams, min(_NOISE_BLOCK, T - t + 1), n, d, oracle.task,
-                    )
+                    block = noise.draw(streams, min(_NOISE_BLOCK, T - t + 1), n, d, oracle.task)
                 if minibatch:
                     g = oracle.task.minibatch_grads(x, block[k, held])
                 elif streams:

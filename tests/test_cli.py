@@ -200,6 +200,36 @@ class TestConfigParsing:
                 "aggregator.nu = 1e-8\nattack.alphas = -2, -1, -0.5, 0.5, 1, 2\n")
         assert load_run_config(_write(tmp_path / "c.cfg", text)).warnings == []
 
+    # key, a value away from its default, the lines of a schedule that reads
+    # it, and its default (None: unset). The default hetero run uses a
+    # constant stepsize and zero momentum, which read none of these keys.
+    @pytest.mark.parametrize("key,value,reader,default", [
+        ("schedule.s0", "5", "schedule.stepsize = pl_piecewise\nschedule.alpha1 = 1\n", None),
+        ("schedule.alpha1", "1", "schedule.stepsize = pl_piecewise\nschedule.s0 = 5\n", None),
+        ("schedule.T_max", "7", "schedule.stepsize = cosine\n", None),
+        ("schedule.beta", "0.9", "schedule.momentum = constant\n", "0.0"),
+        ("schedule.c_beta", "10", "schedule.momentum = tied\nschedule.gamma0 = 0.01\n", "36"),
+    ])
+    def test_unread_schedule_keys_warn(self, tmp_path, key, value, reader, default):
+        def warnings(text):
+            return load_run_config(_write(tmp_path / "c.cfg", "run.T = 5\n" + text)).warnings
+
+        unread = warnings(f"{key} = {value}\n")
+        assert [w.split("'")[1] for w in unread] == [key]
+        assert "is ignored" in unread[0]
+        assert warnings(reader + f"{key} = {value}\n") == []
+        assert warnings(f"{key} = {default}\n" if default else "") == []
+
+    def test_every_key_a_run_may_not_read_can_warn(self):
+        # the keys no run can leave unread; any other key belongs in
+        # _READ_ONLY_BY, or setting it where it is unread passes in silence
+        always_read = {
+            "problem.kind", "problem.kappa", "aggregator.rule", "aggregator.b",
+            "aggregator.kappa", "attack.kind", "schedule.stepsize", "schedule.gamma0",
+            "schedule.momentum", "run.T", "run.x0", "run.seed", "run.replicates",
+        }
+        assert set(configfile._REGISTRY) - set(configfile._READ_ONLY_BY) == always_read
+
 
 class _Reads(dict):
     """A dict that records the keys read by subscription."""
@@ -469,6 +499,23 @@ class TestSweepCommand:
         assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: sweep momentum token {token!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    # cell_seed's SeedSequence raised a bare ValueError, exit 1, after
+    # resolved_sweep.cfg had been written
+    @pytest.mark.parametrize("text,key", [
+        ("run.seed = -1\n", "run.seed"),
+        ("run.seed = 3\nsweep.seed = -2\n", "sweep.seed"),
+    ])
+    def test_negative_sweep_seed_exits_at_load(self, tmp_path, capsys, text, key):
+        sweepfile = _write(tmp_path / "s.cfg", text + "sweep.T = 5\n")
+        out = tmp_path / "out"
+        assert main(["sweep", sweepfile, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_sweep_seed_overrides_a_negative_run_seed(self, tmp_path):
+        sweepfile = _write(tmp_path / "s.cfg", "run.seed = -1\nsweep.seed = 4\nsweep.T = 5\n")
+        assert load_sweep(sweepfile).seed == 4
 
     def test_cell_seeds_derive_from_master_and_index(self, tmp_path):
         sweepfile = _write(tmp_path / "s.cfg", SWEEP)

@@ -454,7 +454,7 @@ def test_noise_blocks_equal_per_step_draws(seed, worker, T, d, m_avail, m):
     n = worker + 1
     for kind in ("gaussian", "bernoulli_pm"):
         noise = NoiseModel(kind, sigma=0.7)
-        out = trainer._noise_block(noise, {worker: RngStream(seed, worker, "noise")}, T, n, d)
+        out = noise.draw({worker: RngStream(seed, worker, "noise")}, T, n, d)
         g = gen()
         for t in range(T):
             if kind == "gaussian":

@@ -133,6 +133,8 @@ class TestSchedules:
            st.sampled_from([0.0, -5e-10, 5e-10]))
     @example("cosine", 0.0196 * 36.0 * (1.0 + math.sqrt(3.0) / 4.0), 25, 10, 36.0, 0.0)
     @example("pl_piecewise", 1.0 + 2.5e-10, 10, 1, 36.0, -5e-10)
+    @example("constant", 1.0 + 1e-13, 5, 1, 36.0, 0.0)
+    @example("constant", 1.0 + 5e-13, 5, 1, 36.0, 0.0)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_a_tied_schedule_that_validates_runs_every_step(self, kind, ratio, T, T_max,
                                                             c_beta, rel):
@@ -142,6 +144,8 @@ class TestSchedules:
         # The cosine example is hetero's defaults (L = 1 + sqrt(3)/4) with
         # gamma0 = 0.0196 and T_max = 10, which used to fail at step 20; the
         # pl_piecewise one starts its second phase 2.5e-10 past the bound.
+        # The other way round, a schedule whose every step runs must load:
+        # the constant examples run all 5 steps but were refused at load.
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
         L = inst.analytic.L
         gamma0 = ratio / (c_beta * L)
@@ -153,10 +157,16 @@ class TestSchedules:
                                 momentum="tied", c_beta=c_beta)
         try:
             trainer._validate(_cfg(inst, T=T, sched=spec))
+            validates = True
         except ConfigurationError:
-            return
-        for t in range(1, T + 1):
-            schedules(t, spec, T, L=L)
+            validates = False
+        try:
+            for t in range(1, T + 1):
+                schedules(t, spec, T, L=L)
+            runs = True
+        except ConfigurationError:
+            runs = False
+        assert validates == runs
 
     @pytest.mark.parametrize(
         "kwargs,msg",
