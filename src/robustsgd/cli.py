@@ -109,7 +109,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.sweepfile)
     out = _ensure_dir(args.out or _default_out("sweep"))
-    (out / "resolved_sweep.cfg").write_text(render_config(spec.base_kv, sweep=True))
+    (out / "resolved_sweep.cfg").write_text(render_config(spec.resolved_kv(), sweep=True))
     result = run_sweep(spec)
     for w in dict.fromkeys(w for c in result.cells for w in c.warnings):
         print(f"warning: {w}", file=sys.stderr)

@@ -81,6 +81,12 @@ class SweepSpec:
     def n_cells(self) -> int:
         return int(np.prod([len(g) for g in self.grids.values()]))
 
+    def resolved_kv(self) -> dict:
+        """The base config plus the sweep.* keys that reproduce this sweep,
+        the seed echoed as sweep.seed."""
+        grids = {f"sweep.{a}": list(g) for a, g in self.grids.items() if g != (None,)}
+        return {**self.base_kv, "sweep.metric": self.metric, "sweep.seed": self.seed, **grids}
+
     def cell_params(self):
         """All cells in canonical order as (index, {axis: value})."""
         for index, combo in enumerate(itertools.product(*self.grids.values())):

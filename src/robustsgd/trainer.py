@@ -23,11 +23,18 @@ vectorised pass (fill_metrics) over the recorded iterates, bitwise what a
 per-step evaluation gives. The steps keep no honest gradient: the pass takes
 them from ProblemInstance.honest_grads at the block's iterates, one stacked
 call per chunk of them.
+
+A run without noise whose gamma and beta do not change with t (constant or
+invsqrt steps) is a fixed map of its state (x, m), so it stops stepping at
+the first exact repeat of that state within the last _REPEAT_WINDOW steps,
+confirmed on x and m both, and fills the rest of the record from the cycle,
+bitwise what stepping on gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -319,6 +326,35 @@ def _byzantine_honest_style(
 _NOISE_BLOCK = 1024
 
 
+# Recent iterates among which a run whose step map does not change with t
+# looks for an exact repeat of its state (x, m): the deterministic runs of the
+# closed-form checks settle on cycles of period 1, 2 or 4.
+_REPEAT_WINDOW = 16
+
+
+class _RepeatWatch:
+    """Finds the first step whose state (x, m) equals, byte for byte, that
+    of a step p <= _REPEAT_WINDOW before it: a hit of x^t at lag p keeps
+    m^t's bytes until step t + p confirms both (a later candidate due at the
+    same step replaces an earlier one)."""
+
+    def __init__(self):
+        self.recent = deque(maxlen=_REPEAT_WINDOW)  # iterate bytes, newest first
+        self.pending = {}  # step to confirm at -> (p, iterate bytes, momentum bytes)
+
+    def period(self, t: int, x: np.ndarray, m: np.ndarray) -> int:
+        """p if (x^t, m^t) = (x^{t-p}, m^{t-p}) was confirmed at this step, else 0."""
+        key = x.tobytes()
+        due = self.pending.pop(t, None)
+        if due is not None and due[1] == key and due[2] == m.tobytes():
+            return due[0]
+        if key in self.recent:
+            p = self.recent.index(key) + 1
+            self.pending[t + p] = (p, key, m.tobytes())
+        self.recent.appendleft(key)
+        return 0
+
+
 # Iterates per honest_grads call in a block's metrics pass: the pass holds a
 # (chunk, h, d) gradient stack and, for a classification task, the softmax
 # intermediates of chunk points, not a whole block's.
@@ -399,6 +435,15 @@ def run(config: RunConfig) -> RunRecord:
     raises. The failure carries that iteration, the column and the record
     of the steps before it. The lyapunov column stays NaN; track_lyapunov
     fills it from the record.
+
+    A run whose step map does not change with t (deterministic noise and a
+    constant or invsqrt stepsize, under any momentum kind) stops stepping
+    once (x, m) repeats, byte for byte, within _REPEAT_WINDOW steps: an
+    iterate found among the window's iterates at lag p keeps its momenta,
+    and p steps later x and m must both equal what was kept. The remaining
+    iterates repeat that cycle and gamma and beta their constants, and the
+    metrics pass runs over the remaining blocks in order, so every column,
+    and any NumericFailure, is bitwise what stepping all T gives.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -448,6 +493,11 @@ def run(config: RunConfig) -> RunRecord:
     xs[0] = config.x0.values
     x = xs[0]
     G = None if minibatch else exact(x)  # exact gradients at x^{t-1}
+    # with gamma and beta fixed and no noise, a step is a pure function of (x, m)
+    watch = None
+    if noise.deterministic and sched.stepsize in ("constant", "invsqrt"):
+        watch = _RepeatWatch()
+        watch.period(0, x, m)
 
     t = 0
     failure = None
@@ -501,6 +551,17 @@ def run(config: RunConfig) -> RunRecord:
                 betas[t - 1] = beta
                 if not np.logical_and.reduce(np.isfinite(x)):
                     raise NumericFailure("non-finite iterate", column="iterate")
+                if watch is not None and (p := watch.period(t, x, m)):
+                    # the remaining steps repeat the last p, and so do their rows
+                    xs[t + 1:] = xs[t + 1 - p + np.arange(T - t) % p]
+                    gammas[t:] = gamma
+                    betas[t:] = beta
+                    for r0 in range(t - 1 - k, T, _NOISE_BLOCK):
+                        failure = fill_metrics(record, r0, min(_NOISE_BLOCK, T - r0),
+                                               inst, f_star, ref)
+                        if failure:
+                            break
+                    break
                 if not minibatch:
                     G = exact(x)
                 if k == _NOISE_BLOCK - 1 or t == T:

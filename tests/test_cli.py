@@ -426,6 +426,18 @@ class TestSweepCommand:
         SweepResult(spec=spec, cells=cells[::-1]).cells_csv(tmp_path / "alone.csv")
         assert (tmp_path / "alone.csv").read_bytes() == (out / "cells.csv").read_bytes()
 
+    def test_resolved_echo_reproduces_the_sweep(self, tmp_path):
+        text = ("run.T = 5\nrun.seed = 1\nsweep.gamma0 = 0.1,0.2\n"
+                "sweep.momentum = zero,constant:0.5\nsweep.metric = final_f_gap\n"
+                "sweep.seed = 3\n")
+        sweepfile = _write(tmp_path / "s.cfg", text)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", sweepfile, "--out", str(out1)]) == EXIT_OK
+        assert main(["sweep", str(out1 / "resolved_sweep.cfg"), "--out", str(out2)]) == EXIT_OK
+        rows = (out1 / "cells.csv").read_bytes()
+        assert rows.count(b"\n") == 5 and b",ok," in rows
+        assert (out2 / "cells.csv").read_bytes() == rows
+
     def test_workers_accepts_only_one(self, tmp_path):
         sweepfile = _write(tmp_path / "s.cfg", SWEEP)
         with pytest.raises(SystemExit) as exc:  # argparse rejects a bad choice itself
@@ -606,6 +618,20 @@ class TestVerifyCommand:
             tol = row["tolerance"]
             assert isinstance(tol, float) and math.isfinite(tol) and tol >= 0, row["name"]
         # the benchmark's verify op reads this same stdout with its own parser
+        assert workloads.verify_json(stdout) == payload
+
+    def test_full_suite_passes_as_strict_json(self, capsys):
+        assert main(["verify", "--suite", "full", "--json"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        # the table comes first; the benchmark's parser also takes what follows it
+        payload = json.loads(stdout[stdout.index("\n{") + 1:], parse_constant=reject)
+        assert payload["passed"] is True
+        assert len(payload["rows"]) == 21
+        assert all(row["passed"] for row in payload["rows"])
         assert workloads.verify_json(stdout) == payload
 
     def test_json_report_is_strict_json(self, capsys, monkeypatch):
