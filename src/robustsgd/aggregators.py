@@ -68,11 +68,11 @@ class AggregatorSpec:
             if self.q is None or self.q < 1 or self.n - 2 * self.q < 1:
                 raise ConfigurationError("cwtm requires 1 <= q and n - 2q >= 1")
         if self.rule == "gm":
-            if self.iters < 1 or not self.nu > 0:
-                raise ConfigurationError("gm requires iters >= 1 and nu > 0")
+            if self.iters < 1 or not 0 < self.nu < math.inf:
+                raise ConfigurationError("gm requires iters >= 1, and nu > 0 and finite")
         if self.rule == "oracle_adversarial":
-            if self.kappa is None or self.kappa < 0:
-                raise ConfigurationError("oracle_adversarial requires kappa >= 0")
+            if self.kappa is None or not 0 <= self.kappa < math.inf:
+                raise ConfigurationError("oracle_adversarial requires kappa >= 0 and finite")
             if self.variant not in ORACLE_VARIANTS:
                 raise ConfigurationError(
                     f"oracle_adversarial variant must be one of {ORACLE_VARIANTS}"
@@ -285,7 +285,9 @@ def oracle_adversarial(
 
     Each row of an (..., n, d) stack is answered on its own statistics.
     An ndarray honest_ids is taken to be sorted already (the training loop
-    passes one); any other sequence is sorted here.
+    passes one); any other sequence is sorted here. variance_sign also
+    takes an (S, h) array of S honest subsets of one (n, d) input and
+    answers (S, d), row s bitwise the answer for subset s alone.
     """
     if isinstance(honest_ids, np.ndarray):
         honest = honest_ids
@@ -317,7 +319,7 @@ def oracle_adversarial(
             raise ConfigurationError(
                 "hetero_c1 applies only to the two-worker heterogeneous construction"
             )
-        if len(honest) != 2 or mat.shape[-2] != 2:
+        if honest.shape != (2,) or mat.shape[-2] != 2:
             raise ConfigurationError("hetero_c1 expects exactly two honest workers")
         return mean - sk * (mat[..., honest[0], :] - mean)
 
@@ -331,7 +333,7 @@ def oracle_adversarial(
         sigma = inst.noise.sigma
         if not sigma > 0:
             raise ConfigurationError("noise_c2 requires bernoulli_pm noise with sigma > 0")
-        if len(honest) != 2 or mat.shape[-2] != 2 or mat.shape[-1] != 1:
+        if honest.shape != (2,) or mat.shape[-2] != 2 or mat.shape[-1] != 1:
             raise ConfigurationError("noise_c2 expects the 1-D two-worker instance")
         xv = _values(context.x)
         x = float(xv[0])
@@ -371,7 +373,8 @@ def aggregate(
     answered with a DenseVector, or an ndarray of shape (..., n, d) holding
     a stack of inputs, answered with an (..., d) ndarray whose row r equals
     the rule applied to stack row r alone. A non-finite entry, in or out,
-    raises NumericFailure, as a DenseVector would.
+    raises NumericFailure, as a DenseVector would. The variance_sign oracle
+    rule also answers an (S, h) honest_ids array of S subsets with (S, d).
 
     honest_ids must be supplied iff the rule is oracle_adversarial; passing
     them to any other rule is a configuration error (ordinary rules are
@@ -440,9 +443,9 @@ def estimate_kappa(
     magnitudes 1/1e3/1e6, and coordinate-axis spikes. A zero-dispersion
     family with a nonzero numerator is flagged as a robustness violation.
     The honest subsets are every one if there are at most 120, else 32
-    drawn per family; a family's subsets are scored in one array pass (the
-    oracle rule is applied once per subset), and ties keep the first
-    maximum in sample and subset order.
+    drawn per family; a family's subsets are scored in one array pass, with
+    one aggregate call per family (the oracle rule answers every subset at
+    once), and ties keep the first maximum in sample and subset order.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -491,11 +494,9 @@ def estimate_kappa(
         else:
             subsets = np.array([np.sort(gen.choice(n, size=h, replace=False))
                                 for _ in range(32)])
-        if spec.honest_aware:
-            out = np.stack([aggregate(spec, mat, honest_ids=honest, context=context)
-                            for honest in subsets])
-        else:
-            out = aggregate(spec, mat)  # honest-set blind: one output per sample
+        # (S, dim) for the oracle rule; a blind rule's one (dim,) output serves all
+        out = aggregate(spec, mat, honest_ids=subsets if spec.honest_aware else None,
+                        context=context)
         # every subset's ratio at once: (S, h, dim) stats, (S,) ratios
         mean, disp = _honest_stats(mat, subsets)
         dev = out - mean

@@ -20,15 +20,11 @@ DEFAULT_ALIE_CANDIDATES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str = "none"
-    byzantine_ids: frozenset = frozenset()
     candidate_alphas: Tuple[float, ...] = DEFAULT_ALIE_CANDIDATES
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ConfigurationError(f"unknown attack kind {self.kind!r}")
-        object.__setattr__(
-            self, "byzantine_ids", frozenset(int(i) for i in self.byzantine_ids)
-        )
         if self.kind == "alie" and not self.candidate_alphas:
             raise ConfigurationError("alie needs a nonempty candidate set")
 
@@ -37,19 +33,17 @@ class AttackSpec:
 class AdversaryView:
     """What an omniscient adversary gets to see in one iteration: every
     honest update (aligned with honest_ids order, as DenseVectors or as the
-    rows of an (h, d) array), the server's aggregator, and the current
-    model (a DenseVector or a (d,) array). honest_ids may be an integer
-    ndarray, used as it is (the training loop passes a sorted one), or any
-    other sequence of ints."""
+    rows of an (h, d) array) and the server's aggregator, whose n counts
+    every slot; the oracle rules' context carries the current model.
+    honest_ids may be an integer ndarray, used as it is (the training loop
+    passes a sorted one), or any other sequence of ints."""
 
     honest_updates: Union[Sequence[DenseVector], np.ndarray]
     honest_ids: Sequence[int]
     aggregator: AggregatorSpec
-    x: Union[DenseVector, np.ndarray]
-    n: int
     context: Optional[OracleContext] = None
     # set by alie: the server's aggregate of the input it crafted, so the
-    # caller need not aggregate that input again (None if the attack is inert)
+    # caller need not aggregate that input again
     server_output: Optional[np.ndarray] = None
 
 
@@ -90,7 +84,8 @@ def alie(
     first candidate in listed order. The winning row of that call is the
     server's output on the crafted input; it is recorded as
     view.server_output. With zero honest dispersion every candidate
-    collapses to mu, the attack is inert and nothing is recorded.
+    collapses to mu: the probe is mu alone, mu is returned, and the
+    recorded output is the rule's on mu in every Byzantine slot.
 
     Cost: one stacked aggregate call, the only rule evaluation; around it
     whole-array work only. The probe stack is built with index arrays, and
@@ -104,7 +99,6 @@ def alie(
     cands = tuple(candidate_alphas) if candidate_alphas is not None else DEFAULT_ALIE_CANDIDATES
     if not cands:
         raise ConfigurationError("alie needs a nonempty candidate set")
-    view.server_output = None
     honest = view.honest_updates
     stacked = isinstance(honest, np.ndarray)
     if len(honest) == 0:
@@ -116,16 +110,16 @@ def alie(
     dev = hmat - mu
     dev *= dev
     sigma_dev = math.sqrt(float(np.add.reduce(dev, axis=None)))
-    if sigma_dev == 0.0:
-        return box(mu)
+    alphas = np.asarray(cands, dtype=np.float64)[:, None]
+    # at zero dispersion every candidate is mu, and mu is the one probe
+    probes = mu[None] if sigma_dev == 0.0 else mu + alphas * sigma_dev
 
     ids = np.asarray(view.honest_ids, dtype=np.intp)
     spec = view.aggregator
-    probes = mu + np.asarray(cands, dtype=np.float64)[:, None] * sigma_dev
     if not np.logical_and.reduce(np.isfinite(probes), axis=None):
         raise NumericFailure("alie candidate submissions must be finite")
     # every slot holds the probe, then the honest slots their updates
-    stack = np.empty((len(cands), view.n, hmat.shape[1]))
+    stack = np.empty((len(probes), spec.n, hmat.shape[1]))
     stack[...] = probes[:, None, :]
     stack[:, ids] = hmat
     outs = aggregate(

@@ -27,7 +27,7 @@ from .problems import (
     build_synthetic_family,
     with_noise,
 )
-from .trainer import ScheduleSpec, _validate as _validate_run
+from .trainer import C_BETA, ScheduleSpec, _validate as _validate_run
 
 
 # key -> (type tag, default-as-string or None, help)
@@ -68,7 +68,7 @@ _REGISTRY = {
     "schedule.T_max": ("optint", None, "cosine horizon"),
     "schedule.momentum": ("str", "zero", "zero | constant | tied"),
     "schedule.beta": ("float", "0.0", "constant momentum parameter"),
-    "schedule.c_beta": ("float", "36", "tied momentum coupling (beta_t = 1 - c_beta*gamma_t*L)"),
+    "schedule.c_beta": ("float", f"{C_BETA:g}", "tied momentum coupling (beta_t = 1 - c_beta*gamma_t*L)"),
     "run.T": ("int", "100", "iteration count"),
     "run.x0": ("floatlist", "1.0", "initial point: scalar broadcast or comma list"),
     "run.seed": ("int", "0", "master seed"),
@@ -87,10 +87,11 @@ _SWEEP_REGISTRY = {
 }
 
 # keys that only some problem kinds, rules, attacks or schedules read:
-# key -> (selecting key, its readers). A reader (value, key) reads it only
-# while that other key is set to a noisy kind, not unset and not none.
-# problem.kappa is read for every kind (materialize's momentum warning), so
-# it is not listed.
+# key -> (selecting key, its readers[, selecting key, its readers, ...]); a
+# key is read if any selecting key holds one of its readers. A reader
+# (value, key) reads it only while that other key is set to a noisy kind,
+# not unset and not none. The kappa keys are also read by materialize's
+# tied-momentum warning.
 _READ_ONLY_BY = {
     "problem.mu": ("problem.kind", ("hetero", "noise")),
     "problem.G": ("problem.kind", ("hetero", "synthetic")),
@@ -112,10 +113,13 @@ _READ_ONLY_BY = {
     "problem.alpha": ("problem.kind", ("classification",)),
     "problem.minibatch": ("problem.kind", ("classification",)),
     "problem.data_seed": ("problem.kind", ("random_quadratic", "classification")),
+    "problem.kappa": ("problem.kind", ("hetero", "noise"), "schedule.momentum", ("tied",)),
     "aggregator.iters": ("aggregator.rule", ("gm",)),
     "aggregator.nu": ("aggregator.rule", ("gm",)),
     "aggregator.q": ("aggregator.rule", ("multi_krum", "cwtm")),
     "aggregator.variant": ("aggregator.rule", ("oracle_adversarial",)),
+    "aggregator.kappa": ("aggregator.rule", ("oracle_adversarial",),
+                         "schedule.momentum", ("tied",)),
     "attack.alphas": ("attack.kind", ("alie",)),
     "schedule.s0": ("schedule.stepsize", ("pl_piecewise",)),
     "schedule.alpha1": ("schedule.stepsize", ("pl_piecewise",)),
@@ -281,12 +285,17 @@ def _new_problem(kv: dict):
     return inst
 
 
+def _selectors(key: str):
+    """The (selecting key, its readers) pairs of `key`'s _READ_ONLY_BY entry."""
+    entry = _READ_ONLY_BY[key]
+    return zip(entry[::2], entry[1::2])
+
+
 def _reads(kv: dict, key: str) -> bool:
     """Whether the configured problem kind, rule, attack or schedule reads `key`."""
-    selector, readers = _READ_ONLY_BY[key]
     return any(kv[selector] == r if isinstance(r, str)
                else kv[selector] == r[0] and kv[r[1]] not in (None, "none")
-               for r in readers)
+               for selector, readers in _selectors(key) for r in readers)
 
 
 def _unread_keys(kv: dict) -> list:
@@ -294,18 +303,22 @@ def _unread_keys(kv: dict) -> list:
     if it has none) that the configured problem kind, rule, attack or
     schedule never reads."""
     out = []
-    for key, (selector, readers) in _READ_ONLY_BY.items():
+    for key in _READ_ONLY_BY:
         tag, default, _help = _REGISTRY[key]
         if _reads(kv, key) or kv[key] == (
                 None if default is None else _convert(key, tag, default)):
             continue
-        where = f"{selector} = {kv[selector]}"
-        for r in readers:
-            if not isinstance(r, str) and r[0] == kv[selector]:
-                where += f" with {r[1]} " + ("unset" if kv[r[1]] is None else f"= {kv[r[1]]}")
-        names = [r if isinstance(r, str) else f"{r[0]} with a noisy {r[1]}" for r in readers]
-        out.append(f"config key {key!r} is ignored: {where} does not read it "
-                   f"(read by {' / '.join(names)} only)")
+        wheres, names = [], []
+        for selector, readers in _selectors(key):
+            where = f"{selector} = {kv[selector]}"
+            for r in readers:
+                if not isinstance(r, str) and r[0] == kv[selector]:
+                    where += f" with {r[1]} " + ("unset" if kv[r[1]] is None else f"= {kv[r[1]]}")
+            wheres.append(where)
+            names += [r if isinstance(r, str) else f"{r[0]} with a noisy {r[1]}" for r in readers]
+        verb = "does" if len(wheres) == 1 else "do"
+        out.append(f"config key {key!r} is ignored: {' and '.join(wheres)} {verb} not "
+                   f"read it (read by {' / '.join(names)} only)")
     return out
 
 
@@ -322,11 +335,7 @@ def materialize(kv: dict) -> LoadedConfig:
         nu=kv["aggregator.nu"], kappa=kv["aggregator.kappa"],
         variant=kv["aggregator.variant"],
     )
-    attack = AttackSpec(
-        kind=kv["attack.kind"],
-        byzantine_ids=frozenset(inst.pop.byzantine_ids),
-        candidate_alphas=tuple(kv["attack.alphas"]),
-    )
+    attack = AttackSpec(kind=kv["attack.kind"], candidate_alphas=tuple(kv["attack.alphas"]))
     gamma0 = kv["schedule.gamma0"]
     if gamma0 is None and kv["schedule.stepsize"] != "pl_piecewise":
         gamma0 = 0.1
@@ -355,7 +364,7 @@ def materialize(kv: dict) -> LoadedConfig:
         T=kv["run.T"], x0=x0, seed=kv["run.seed"],
         replicates=kv["run.replicates"],
     )
-    _validate_run(config)  # eager: gamma*L bounds, dimension/id coherence
+    _validate_run(config)  # eager: gamma*L bounds, dimension coherence
 
     kappa = agg.kappa if agg.kappa is not None else kv["problem.kappa"]
     B = inst.analytic.B

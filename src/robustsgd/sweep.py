@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .configfile import _REGISTRY, _read_text, materialize, parse_config_text, resolve
+from .configfile import _REGISTRY, _read_text, _reads, materialize, parse_config_text, resolve
 from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RunConfig
-from .trainer import run
+from .trainer import C_BETA, run
 
 AXES = ("kappa", "B_sq", "gamma0", "momentum", "T")
 METRICS = ("floor_estimate", "final_f_gap")
@@ -39,7 +39,7 @@ def _parse_momentum_token(tok: str):
         if kind == "constant" and len(values) == 1:
             return ("constant", values[0])
         if kind == "tied" and len(values) <= 1:
-            return ("tied", values[0] if values else 36.0)
+            return ("tied", values[0] if values else C_BETA)
     raise ConfigurationError(
         f"sweep momentum token {tok!r}: expected zero | constant:<beta> | tied[:<c_beta>] "
         "with finite numbers"
@@ -186,9 +186,6 @@ def _sort_key(v):
 def cell_kv(spec: SweepSpec, params: dict) -> dict:
     """Base config with one cell's overrides applied."""
     kv = dict(spec.base_kv)
-    if params["kappa"] is not None:
-        kv["aggregator.kappa"] = params["kappa"]
-        kv["problem.kappa"] = params["kappa"]
     if params["B_sq"] is not None:
         if params["B_sq"] < 0:
             raise ConfigurationError("B_sq grid values must be >= 0")
@@ -204,6 +201,11 @@ def cell_kv(spec: SweepSpec, params: dict) -> dict:
             kv["schedule.c_beta"] = value
     if params["T"] is not None:
         kv["run.T"] = int(params["T"])
+    if params["kappa"] is not None:
+        # the kappa keys the cell reads, or both if it reads neither, so that warns
+        kappas = ("aggregator.kappa", "problem.kappa")
+        for key in [k for k in kappas if _reads(kv, k)] or kappas:
+            kv[key] = params["kappa"]
     return kv
 
 

@@ -56,6 +56,7 @@ from .problems import stochastic_gradient  # noqa: F401
 
 STEPSIZE_KINDS = ("constant", "invsqrt", "pl_piecewise", "cosine")
 MOMENTUM_KINDS = ("zero", "constant", "tied")
+C_BETA = 36.0  # the paper's tied-momentum coupling, beta_t = 1 - 36*gamma_t*L
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class ScheduleSpec:
     T_max: Optional[int] = None
     momentum: str = "zero"
     beta: float = 0.0
-    c_beta: float = 36.0
+    c_beta: float = C_BETA
 
     def __post_init__(self):
         if self.stepsize not in STEPSIZE_KINDS:
@@ -94,10 +95,10 @@ class ScheduleSpec:
         if self.stepsize == "pl_piecewise":
             if self.s0 is None or self.alpha1 is None:
                 raise ConfigurationError("pl_piecewise requires s0 and alpha1")
-            if not self.s0 > 2:
-                raise ConfigurationError(f"pl_piecewise requires s0 > 2, got {self.s0}")
-            if not self.alpha1 > 0:
-                raise ConfigurationError("pl_piecewise requires alpha1 > 0")
+            if not 2 < self.s0 < math.inf:
+                raise ConfigurationError(f"pl_piecewise requires s0 > 2 and finite, got {self.s0}")
+            if not 0 < self.alpha1 < math.inf:
+                raise ConfigurationError("pl_piecewise requires alpha1 > 0 and finite")
             implied = 2.0 / (self.alpha1 * self.s0)
             if self.gamma0 is None:
                 object.__setattr__(self, "gamma0", implied)
@@ -106,15 +107,14 @@ class ScheduleSpec:
                     f"pl_piecewise requires gamma0 = 2/(alpha1*s0) = {implied:.12g}, "
                     f"got {self.gamma0:.12g}"
                 )
-        else:
-            if self.gamma0 is None or not self.gamma0 > 0:
-                raise ConfigurationError("schedule requires gamma0 > 0")
+        if self.gamma0 is None or not 0 < self.gamma0 < math.inf:
+            raise ConfigurationError("schedule requires gamma0 > 0 and finite")
         if self.stepsize == "cosine" and (self.T_max is None or self.T_max < 1):
             raise ConfigurationError("cosine schedule requires T_max >= 1")
         if self.momentum == "constant" and not 0.0 <= self.beta < 1.0:
             raise ConfigurationError("constant momentum requires 0 <= beta < 1")
-        if self.momentum == "tied" and not self.c_beta > 0:
-            raise ConfigurationError("tied momentum requires c_beta > 0")
+        if self.momentum == "tied" and not 0 < self.c_beta < math.inf:
+            raise ConfigurationError("tied momentum requires c_beta > 0 and finite")
 
 
 def schedules(t: int, spec: ScheduleSpec, T: int, L: Optional[float] = None):
@@ -189,11 +189,9 @@ def pl_schedule_for_momentum(instance: ProblemInstance, kappa: float) -> Schedul
     if not kappa * B * B < 1.0 / 56.0:
         raise ConfigurationError(f"requires kappa*B^2 < 1/56, got {kappa * B * B:.6g}")
     alpha4 = (3.0 / 8.0 - 21.0 * kappa * B * B) * mu
-    lower = max(2.0, 72.0 * L / alpha4)
+    lower = max(2.0, 2.0 * C_BETA * L / alpha4)
     s0 = float(math.floor(lower) + 1)
-    return ScheduleSpec(
-        stepsize="pl_piecewise", s0=s0, alpha1=alpha4, momentum="tied", c_beta=36.0
-    )
+    return ScheduleSpec(stepsize="pl_piecewise", s0=s0, alpha1=alpha4, momentum="tied")
 
 
 @dataclass
@@ -285,11 +283,6 @@ def _validate(config: RunConfig) -> None:
     if config.x0.dim != inst.dim:
         raise ConfigurationError(
             f"x0 dimension {config.x0.dim} does not match instance dimension {inst.dim}"
-        )
-    byz = attack.byzantine_ids
-    if byz and byz != inst.pop.byzantine_ids:
-        raise ConfigurationError(
-            "attack byzantine_ids must match the population's Byzantine set"
         )
     if attack.kind == "label_flip" and inst.task is None:
         raise ConfigurationError("label_flip requires a classification task")
@@ -521,30 +514,19 @@ def run(config: RunConfig) -> RunRecord:
                 m *= beta
                 m += (1.0 - beta) * g
 
-                U = m
-                agg_out = None
                 if crafted:
-                    view = AdversaryView(
-                        honest_updates=m, honest_ids=honest, aggregator=agg,
-                        x=x, n=n, context=context,
-                    )
-                    submitted = alie(view, attack.candidate_alphas)
+                    view = AdversaryView(honest_updates=m, honest_ids=honest,
+                                         aggregator=agg, context=context)
+                    alie(view, attack.candidate_alphas)
                     # alie's probe already aggregated exactly this input
                     agg_out = view.server_output
-                    if agg_out is None:
-                        U = np.empty((n, d))
-                        U[honest] = m
-                        U[byz] = submitted
-                elif byz.size and attack.kind == "sign_flip":
-                    U = m.copy()
-                    U[byz] = sign_flip(m[byz])
-
-                if agg_out is None:
-                    agg_out = aggregate(
-                        agg, U,
-                        honest_ids=honest if agg.honest_aware else None,
-                        context=context,
-                    )
+                else:
+                    U = m
+                    if byz.size and attack.kind == "sign_flip":
+                        U = m.copy()
+                        U[byz] = sign_flip(m[byz])
+                    agg_out = aggregate(agg, U, honest_ids=honest if agg.honest_aware else None,
+                                        context=context)
 
                 x = np.subtract(x, gamma * agg_out, out=xs[t])
                 gammas[t - 1] = gamma
@@ -595,7 +577,7 @@ def _check_trackable(config: RunConfig) -> None:
             "lyapunov tracking requires a deterministic run (sigma = 0): "
             "the descent bound is an expectation, not a pathwise quantity"
         )
-    if sched.momentum != "tied" or sched.c_beta != 36.0:
+    if sched.momentum != "tied" or sched.c_beta != C_BETA:
         raise ConfigurationError(
             "lyapunov tracking requires tied momentum with c_beta = 36"
         )

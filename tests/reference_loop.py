@@ -31,7 +31,9 @@ read as `task`. reference_poisoned_instance is the label-poisoned copy
 stood with its per-sample label_flip loop, and the loop below poisons its
 shards with it. reference_alie is attacks.alie as it stood with its Python
 scoring loop and list-indexed probe stack, and the loop crafts its ALIE
-submissions with it.
+submissions with it. It reads n from the aggregator, as AdversaryView no
+longer repeats it, and keeps its inert case: at zero dispersion it records
+no output, and the loop aggregates the crafted input itself.
 """
 
 from __future__ import annotations
@@ -264,12 +266,12 @@ def reference_alie(
         return box(mu)
 
     honest_ids = [int(i) for i in view.honest_ids]
-    byz_ids = sorted(set(range(view.n)) - set(honest_ids))
     spec = view.aggregator
+    byz_ids = sorted(set(range(spec.n)) - set(honest_ids))
     probes = mu + np.asarray(cands, dtype=np.float64)[:, None] * sigma_dev
     if not np.all(np.isfinite(probes)):
         raise NumericFailure("alie candidate submissions must be finite")
-    stack = np.empty((len(cands), view.n, hmat.shape[1]))
+    stack = np.empty((len(cands), spec.n, hmat.shape[1]))
     stack[:, honest_ids] = hmat
     stack[:, byz_ids] = probes[:, None, :]
     outs = aggregate(
@@ -416,8 +418,6 @@ def reference_run(
                     honest_updates=[updates[i] for i in honest],
                     honest_ids=honest,
                     aggregator=agg,
-                    x=X,
-                    n=n,
                     context=OracleContext(
                         x=X, x_star=inst.analytic.x_star, instance=inst
                     ),

@@ -482,7 +482,6 @@ def test_criterion_9_attack_properties(capsys):
         view = AdversaryView(
             honest_updates=[DenseVector(p) for p in pts],
             honest_ids=list(range(5)), aggregator=spec,
-            x=DenseVector(np.zeros(3)), n=7,
         )
         alpha = (alie(view).values - mu)[0] / sigma_dev
         alie_ok &= abs(abs(alpha) - 2.0) <= 1e-12

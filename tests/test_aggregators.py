@@ -338,6 +338,32 @@ class TestOracleAdversarial:
         with pytest.raises(ConfigurationError, match="reconstruct the coin"):
             oracle_adversarial(np.array([[0.123], [0.456]]), [0, 1], 0.09, "noise_c2", ctx)
 
+    @pytest.mark.parametrize("x", [np.zeros(9), np.linspace(-1.0, 2.0, 9)],
+                             ids=["at_x_star", "away"])
+    def test_a_subset_array_answers_each_subset_as_alone(self, x):
+        # h = 10 and d = 9 reach past NumPy's 8-wide pairwise unrolling
+        spec = AggregatorSpec(rule="oracle_adversarial", n=12, b=2, kappa=0.3,
+                              variant="variance_sign")
+        mat = np.random.default_rng(12).normal(size=(12, 9)) * np.geomspace(1e-3, 1e3, 9)
+        ctx = OracleContext(x=x, x_star=np.zeros(9))
+        subsets = np.array(list(itertools.combinations(range(12), 10)), dtype=np.intp)
+        out = aggregate(spec, mat, honest_ids=subsets, context=ctx)
+        assert out.shape == (len(subsets), 9)
+        for row, honest in zip(out, subsets):
+            alone = aggregate(spec, [DenseVector(r) for r in mat], honest_ids=honest.tolist(),
+                              context=ctx)
+            assert row.tobytes() == alone.values.tobytes()
+
+    @pytest.mark.parametrize("variant", ["hetero_c1", "noise_c2"])
+    def test_construction_variants_refuse_a_subset_array(self, variant):
+        # only variance_sign takes S honest subsets; here S = 2 = the count they need
+        inst = (build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5) if variant == "hetero_c1"
+                else build_noise_lower_bound(mu=1.0, B=0.5, sigma=1.0))
+        ctx = OracleContext(x=DenseVector([0.4]), instance=inst)
+        mat = inst.grads(np.array([0.4])) + np.array([[1.0], [-1.0]])
+        with pytest.raises(ConfigurationError, match="two honest workers|two-worker instance"):
+            oracle_adversarial(mat, np.array([[0, 1], [0, 1]]), 0.1, variant, ctx)
+
 
 @st.composite
 def stacked_case(draw):
@@ -658,9 +684,22 @@ class TestEstimateKappa:
         ("cwtm", {"q": 2}), ("gm", {}),
         ("oracle_adversarial", {"kappa": 0.3, "variant": "variance_sign"}),
     ])
-    def test_matches_brute_force_per_subset(self, rule, extra, n, b):
+    def test_matches_brute_force_per_subset(self, monkeypatch, rule, extra, n, b):
+        import robustsgd.aggregators as aggregators_mod
+
+        shapes = []
+        original = aggregators_mod.aggregate
+
+        def counting(spec, updates, honest_ids=None, context=None):
+            shapes.append(np.shape(honest_ids))
+            return original(spec, updates, honest_ids=honest_ids, context=context)
+
+        monkeypatch.setattr(aggregators_mod, "aggregate", counting)
         spec = AggregatorSpec(rule=rule, n=n, b=b, **extra)
         est = estimate_kappa(spec, samples=27, rng=RngStream(5, 0, "k"))
+        # one call per sample; the oracle rule takes every honest subset in it
+        count = math.comb(n, n - b) if math.comb(n, n - b) <= 120 else 32
+        assert shapes == [(count, n - b) if spec.honest_aware else ()] * 27
         kappa_hat, worst, violation = _brute_force_kappa(spec, 27, RngStream(5, 0, "k"))
         assert est.kappa_hat.hex() == kappa_hat.hex()
         assert est.worst_case_input == worst

@@ -29,12 +29,12 @@ def _reference_alie(view, cands):
     mu = hmat.mean(axis=0)
     sigma_dev = math.sqrt(float(((hmat - mu) ** 2).sum()))
     honest_ids = [int(i) for i in view.honest_ids]
-    byz_ids = sorted(set(range(view.n)) - set(honest_ids))
     spec = view.aggregator
+    byz_ids = sorted(set(range(spec.n)) - set(honest_ids))
     best_alpha, best_out, best_score, scores = None, None, -1.0, []
     for alpha in cands:
         g = DenseVector(mu + alpha * sigma_dev)
-        full = [None] * view.n
+        full = [None] * spec.n
         for i, u in zip(honest_ids, honest):
             full[i] = u
         for j in byz_ids:
@@ -48,6 +48,17 @@ def _reference_alie(view, cands):
         if score > best_score:
             best_alpha, best_out, best_score = alpha, out.values, score
     return best_alpha, scores, best_out
+
+
+def _output_on(view, crafted):
+    """The server's output with `crafted` in every Byzantine slot."""
+    spec = view.aggregator
+    honest_ids = [int(i) for i in view.honest_ids]
+    full = [crafted] * spec.n
+    for i, u in zip(honest_ids, view.honest_updates):
+        full[i] = DenseVector(u)
+    return aggregate(spec, full, honest_ids=honest_ids if spec.honest_aware else None,
+                     context=view.context)
 
 
 class TestSignFlip:
@@ -108,19 +119,13 @@ class TestAttackSpec:
         with pytest.raises(ConfigurationError, match="nonempty candidate"):
             AttackSpec(kind="alie", candidate_alphas=())
 
-    def test_byzantine_ids_coerced(self):
-        spec = AttackSpec(kind="sign_flip", byzantine_ids=[2, 4])
-        assert spec.byzantine_ids == frozenset({2, 4})
 
-
-def _view(honest_rows, n, rule_spec, x=None, honest_ids=None, context=None):
+def _view(honest_rows, rule_spec, honest_ids=None, context=None):
     honest = [DenseVector(r) for r in honest_rows]
     return AdversaryView(
         honest_updates=honest,
         honest_ids=honest_ids or list(range(len(honest))),
         aggregator=rule_spec,
-        x=x or DenseVector(np.zeros(len(honest_rows[0]))),
-        n=n,
         context=context,
     )
 
@@ -144,7 +149,7 @@ class TestAlie:
         # coordinate, strictly increasing in |alpha|: a candidate with
         # |alpha| = 2 must win
         spec = AggregatorSpec(rule="average", n=5, b=0)
-        view = _view([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], n=5, rule_spec=spec)
+        view = _view([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], rule_spec=spec)
         out = alie(view).values
         hmat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         mu = hmat.mean(axis=0)
@@ -154,7 +159,7 @@ class TestAlie:
 
     def test_tie_goes_to_first_listed_candidate(self):
         spec = AggregatorSpec(rule="average", n=4, b=0)
-        view = _view([[0.0], [2.0]], n=4, rule_spec=spec)
+        view = _view([[0.0], [2.0]], rule_spec=spec)
         out = alie(view).values
         mu, sigma_dev = 1.0, math.sqrt(2.0)
         # +/-2 score identically against the mean; -2 is listed first
@@ -162,7 +167,7 @@ class TestAlie:
 
     def test_zero_dispersion_is_inert(self):
         spec = AggregatorSpec(rule="average", n=3, b=0)
-        view = _view([[1.5, -2.0], [1.5, -2.0]], n=3, rule_spec=spec)
+        view = _view([[1.5, -2.0], [1.5, -2.0]], rule_spec=spec)
         assert np.allclose(alie(view).values, [1.5, -2.0], atol=0)
 
     def test_matches_independent_greedy_replay(self):
@@ -171,7 +176,7 @@ class TestAlie:
                          ("gm", {})):
             spec = AggregatorSpec(rule=rule, n=6, **kw)
             rows = gen.normal(size=(4, 2))
-            view = _view(rows.tolist(), n=6, rule_spec=spec)
+            view = _view(rows.tolist(), rule_spec=spec)
             got = alie(view).values
 
             mu = rows.mean(axis=0)
@@ -188,7 +193,7 @@ class TestAlie:
 
     def test_custom_candidates_respected(self):
         spec = AggregatorSpec(rule="average", n=4, b=0)
-        view = _view([[0.0], [2.0]], n=4, rule_spec=spec)
+        view = _view([[0.0], [2.0]], rule_spec=spec)
         out = alie(view, candidate_alphas=(0.5, -7.0)).values
         assert out[0] == pytest.approx(1.0 - 7.0 * math.sqrt(2.0), rel=1e-12)
 
@@ -205,15 +210,15 @@ class TestAlie:
         honest_ids = sorted(data.draw(st.permutations(range(n)))[: n - b])
         ctx = OracleContext(x=DenseVector(np.ones(d)), x_star=DenseVector(np.zeros(d)))
         for spec in _alie_specs(n, b):
-            view = _view(rows.tolist(), n=n, rule_spec=spec, honest_ids=honest_ids,
+            view = _view(rows.tolist(), rule_spec=spec, honest_ids=honest_ids,
                          context=ctx)
             got = alie(view, cands).values
             alpha, _, out = _reference_alie(view, cands)
             mu = rows.mean(axis=0)
             sigma_dev = math.sqrt(float(((rows - mu) ** 2).sum()))
             if sigma_dev == 0.0:
-                assert view.server_output is None
-                continue
+                # inert: the output on mu in every Byzantine slot
+                alpha, out = 0.0, _output_on(view, DenseVector(got)).values
             assert np.array_equal(got, mu + alpha * sigma_dev), spec.rule
             assert view.server_output.tobytes() == out.tobytes(), spec.rule
 
@@ -230,7 +235,7 @@ class TestAlie:
             if spec.rule == "gm":
                 continue
             for cands in ((50.0, -50.0), (-50.0, 50.0)):
-                view = _view(rows, n=6, rule_spec=spec, context=ctx)
+                view = _view(rows, rule_spec=spec, context=ctx)
                 alpha, scores, _ = _reference_alie(view, cands)
                 assert scores[0] == scores[1] and alpha == cands[0], spec.rule
                 got = alie(view, cands).values
@@ -248,23 +253,29 @@ class TestAlie:
         monkeypatch.setattr(attacks_mod, "aggregate", counting)
         spec = AggregatorSpec(rule="gm", n=6, b=2)
         rows = np.random.default_rng(3).normal(size=(4, 3))
-        view = _view(rows.tolist(), n=6, rule_spec=spec)
+        view = _view(rows.tolist(), rule_spec=spec)
         crafted = alie(view)
         assert calls == [(len(DEFAULT_ALIE_CANDIDATES), 6, 3)]
         full = [DenseVector(r) for r in rows] + [crafted, crafted]
         assert view.server_output.tobytes() == aggregate(spec, full).values.tobytes()
 
-    def test_zero_dispersion_records_nothing(self):
-        spec = AggregatorSpec(rule="cwm", n=3, b=1)
-        view = _view([[1.0], [1.0]], n=3, rule_spec=spec)
-        view.server_output = np.zeros(1)
-        alie(view)
-        assert view.server_output is None
+    @pytest.mark.parametrize("spec", _alie_specs(5, 2), ids=lambda spec: spec.rule)
+    def test_zero_dispersion_records_the_output_on_mu(self, spec):
+        rows = [[1.5, -2.0, 0.25]] * 3
+        ctx = OracleContext(x=DenseVector([1.0, 0.0, 2.0]), x_star=DenseVector(np.zeros(3)))
+        view = _view(rows, rule_spec=spec, honest_ids=[0, 2, 3], context=ctx)
+        crafted = alie(view)
+        mu = np.array(rows).mean(axis=0)
+        assert crafted.values.tobytes() == mu.tobytes()
+        full = [crafted, DenseVector(rows[0]), DenseVector(rows[1]), DenseVector(rows[2]),
+                crafted]
+        want = aggregate(spec, full, honest_ids=[0, 2, 3] if spec.honest_aware else None,
+                         context=ctx)
+        assert view.server_output.tobytes() == want.values.tobytes()
 
     def test_needs_honest_updates(self):
         spec = AggregatorSpec(rule="average", n=2, b=0)
-        view = AdversaryView(honest_updates=[], honest_ids=[], aggregator=spec,
-                             x=DenseVector([0.0]), n=2)
+        view = AdversaryView(honest_updates=[], honest_ids=[], aggregator=spec)
         with pytest.raises(ConfigurationError, match="at least one honest"):
             alie(view)
 
@@ -311,24 +322,30 @@ class TestAlieMatchesReference:
         ctx = OracleContext(x=DenseVector(np.linspace(1.0, 2.0, d)),
                             x_star=DenseVector(np.zeros(d)))
         for spec in _alie_specs(n, b):
-            got = []
+            got, recorded = [], []
             for fn in (alie, reference_alie):
                 if as_array:
                     view = AdversaryView(honest_updates=rows.copy(),
                                          honest_ids=np.array(ids, dtype=np.intp),
-                                         aggregator=spec, x=ctx.x, n=n, context=ctx)
+                                         aggregator=spec, context=ctx)
                 else:
-                    view = _view(rows.tolist(), n=n, rule_spec=spec, honest_ids=list(ids),
+                    view = _view(rows.tolist(), rule_spec=spec, honest_ids=list(ids),
                                  context=ctx)
                 crafted = fn(view, cands)
                 assert isinstance(crafted, np.ndarray if as_array else DenseVector)
                 crafted = crafted if as_array else crafted.values
                 out = view.server_output
+                recorded.append(out is not None)
+                if out is None:
+                    # the reference is inert and records nothing: the
+                    # server's output is then that on mu in every slot
+                    out = _output_on(view, DenseVector(crafted)).values
                 got.append((crafted.dtype, crafted.shape, crafted.tobytes(),
-                            None if out is None else (out.dtype, out.shape, out.tobytes())))
+                            out.dtype, out.shape, out.tobytes()))
             assert got[0] == got[1], spec.rule
+            assert recorded[0], spec.rule  # alie records its output, inert or not
             if inert is not None:
-                assert (got[0][3] is None) == inert
+                assert recorded[1] != inert
 
 
 class TestArrayInputs:
@@ -340,21 +357,17 @@ class TestArrayInputs:
     def test_alie_on_an_array_matches_the_dense_vector_path(self, rows):
         for spec in _alie_specs(5, 2):
             ctx = OracleContext(x=DenseVector([1.0, 1.0]), x_star=DenseVector([0.0, 0.0]))
-            listed = _view(rows, n=5, rule_spec=spec, context=ctx)
+            listed = _view(rows, rule_spec=spec, context=ctx)
             want = alie(listed).values
-            stacked = _view(rows, n=5, rule_spec=spec, context=ctx)
+            stacked = _view(rows, rule_spec=spec, context=ctx)
             stacked.honest_updates = np.array(rows)
             got = alie(stacked)
             assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
-            if listed.server_output is None:
-                assert stacked.server_output is None
-            else:
-                assert stacked.server_output.tobytes() == listed.server_output.tobytes()
+            assert stacked.server_output.tobytes() == listed.server_output.tobytes()
 
     def test_alie_needs_a_nonempty_array(self):
         spec = AggregatorSpec(rule="average", n=2, b=0)
-        view = AdversaryView(honest_updates=np.empty((0, 1)), honest_ids=[],
-                             aggregator=spec, x=DenseVector([0.0]), n=2)
+        view = AdversaryView(honest_updates=np.empty((0, 1)), honest_ids=[], aggregator=spec)
         with pytest.raises(ConfigurationError, match="at least one honest"):
             alie(view)
 

@@ -100,6 +100,9 @@ aggregator.b = 1
 run.T = 5
 """
 
+# the lines of a run with tied momentum, which reads both kappa keys
+TIED = "schedule.momentum = tied\nschedule.gamma0 = 0.01\n"
+
 
 # ---- config file parsing -----------------------------------------------------
 
@@ -224,11 +227,30 @@ class TestConfigParsing:
         # the keys no run can leave unread; any other key belongs in
         # _READ_ONLY_BY, or setting it where it is unread passes in silence
         always_read = {
-            "problem.kind", "problem.kappa", "aggregator.rule", "aggregator.b",
-            "aggregator.kappa", "attack.kind", "schedule.stepsize", "schedule.gamma0",
-            "schedule.momentum", "run.T", "run.x0", "run.seed", "run.replicates",
+            "problem.kind", "aggregator.rule", "aggregator.b", "attack.kind",
+            "schedule.stepsize", "schedule.gamma0", "schedule.momentum", "run.T", "run.x0",
+            "run.seed", "run.replicates",
         }
         assert set(configfile._REGISTRY) - set(configfile._READ_ONLY_BY) == always_read
+
+    # a kappa key, a config where nothing reads it, and one config per reader
+    @pytest.mark.parametrize("key,unread,reader", [
+        ("aggregator.kappa", "aggregator.rule = cwm\n",
+         "aggregator.rule = oracle_adversarial\naggregator.variant = hetero_c1\n"),
+        ("aggregator.kappa", "aggregator.rule = cwm\n", "aggregator.rule = cwm\n" + TIED),
+        ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = hetero\n"),
+        ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = noise\n"),
+        ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = synthetic\n" + TIED),
+    ])
+    def test_kappa_keys_warn_only_where_unread(self, tmp_path, key, unread, reader):
+        def warnings(text):
+            path = _write(tmp_path / "c.cfg", f"run.T = 5\n{key} = 0.001\n" + text)
+            return load_run_config(path).warnings
+
+        got = warnings(unread)
+        assert [w.split("'")[1] for w in got] == [key]
+        assert "schedule.momentum = zero do not read it" in got[0]
+        assert warnings(reader) == []
 
 
 class _Reads(dict):
@@ -320,10 +342,9 @@ class TestProblemKeys:
     def test_problem_key_readers_are_what_the_builder_reads(self, kind, extra):
         kv = _Reads(resolve(parse_config_text(f"problem.kind = {kind}\n" + extra)))
         configfile._new_problem(kv)
-        listed = {key for key, (selector, _) in configfile._READ_ONLY_BY.items()
+        listed = {key for key, (selector, *_) in configfile._READ_ONLY_BY.items()
                   if selector == "problem.kind" and configfile._reads(dict(kv), key)}
-        # problem.kappa is read for every kind, by materialize
-        assert kv.read - {"problem.kind", "problem.kappa"} == listed
+        assert kv.read - {"problem.kind"} == listed
 
 
 # ---- run command ---------------------------------------------------------
@@ -460,6 +481,27 @@ class TestSweepCommand:
         with open(out / "best.csv", newline="") as fh:
             best = list(csv.DictReader(fh))
         assert all(float(r["kappa"]) > 0 for r in best)
+
+    # the kappa keys each cell sets, and those it warns about
+    @pytest.mark.parametrize("base,kappa_keys,warned", [
+        ("problem.kind = synthetic\naggregator.rule = oracle_adversarial\n"
+         "aggregator.variant = variance_sign\naggregator.kappa = 0.005\n",
+         {"aggregator.kappa"}, set()),
+        ("problem.kind = hetero\n", {"problem.kappa"}, set()),
+        ("problem.kind = synthetic\nschedule.momentum = tied\n",
+         {"aggregator.kappa", "problem.kappa"}, set()),
+        ("problem.kind = synthetic\n",  # nothing reads the axis: both keys warn
+         {"aggregator.kappa", "problem.kappa"}, {"aggregator.kappa", "problem.kappa"}),
+    ])
+    def test_the_kappa_axis_sets_the_kappa_keys_a_cell_reads(self, tmp_path, base,
+                                                             kappa_keys, warned):
+        text = base + "schedule.gamma0 = 0.001\nsweep.kappa = 0.001,0.002\n"
+        spec = load_sweep(_write(tmp_path / "s.cfg", text))
+        for _, params in spec.cell_params():
+            kv = cell_kv(spec, params)
+            assert {k for k in ("aggregator.kappa", "problem.kappa")
+                    if kv[k] == params["kappa"]} == kappa_keys
+            assert {w.split("'")[1] for w in materialize(kv).warnings} == warned
 
     def test_each_distinct_warning_prints_once(self, tmp_path, capsys):
         # two cells of a cwm sweep, each warning about the same two keys

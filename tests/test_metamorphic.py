@@ -87,7 +87,7 @@ def _case(rule, data, noise, momentum):
     agg = AggregatorSpec(rule="oracle_adversarial" if oracle else rule, n=n, b=b, **RULES[rule])
     attack = "none" if oracle or b == 0 else data.draw(st.sampled_from(["none", "sign_flip", "alie"]))
     return RunConfig(problem=inst, aggregator=agg,
-                     attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                     attack=AttackSpec(kind=attack),
                      schedule=sched, T=T, x0=DenseVector(np.linspace(-1.5, 2.0, inst.dim)),
                      seed=data.draw(st.integers(0, 2**16)))
 
@@ -213,7 +213,7 @@ def test_reflection_negates_the_iterates(rule, attack):
         for momentum in ("zero", "tied"):
             sched = ScheduleSpec(gamma0=0.9 / (36.0 * inst.analytic.L), momentum=momentum)
             cfg = RunConfig(problem=inst, aggregator=agg,
-                            attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                            attack=AttackSpec(kind=attack),
                             schedule=sched, T=200, x0=DenseVector(x0), seed=seed)
             reflected = replace(cfg, problem=mirrored, x0=DenseVector(-x0))
             assert (-run(cfg).xs).tobytes() == run(reflected).xs.tobytes(), (seed, momentum)

@@ -118,8 +118,7 @@ def run_cases(draw):
             gamma0=draw(st.sampled_from([0.01, 0.05, 0.2])) / max(L, 1.0), T_max=8,
             momentum=momentum, beta=draw(st.sampled_from([0.3, 0.6, 0.9])))
     alphas = draw(st.sampled_from([(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), (1.0,), (-50.0, 50.0)]))
-    attack_spec = AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids,
-                             candidate_alphas=alphas)
+    attack_spec = AttackSpec(kind=attack, candidate_alphas=alphas)
     if draw(st.booleans()):
         x0 = DenseVector(np.full(inst.dim, draw(st.sampled_from([-1.5, 0.0, 1.0]))))
     else:
@@ -189,10 +188,37 @@ def test_run_longer_than_a_noise_block_matches_reference(attack):
     inst = with_noise(build_random_quadratic_family(n=5, d=2, rng=RngStream(3, 0, "r"), b=1),
                       NoiseModel("gaussian", sigma=0.5))
     cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=5, b=1),
-                    attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                    attack=AttackSpec(kind=attack),
                     schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
                     T=trainer._NOISE_BLOCK + 5, x0=DenseVector([1.0, -1.0]), seed=4)
     assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("rule,extra", [
+    ("average", {}), ("krum", {}), ("multi_krum", {"q": 3}), ("cwm", {}), ("cwtm", {"q": 1}),
+    ("gm", {}), ("oracle_adversarial", {"kappa": 0.3, "variant": "variance_sign"}),
+])
+def test_inert_alie_run_matches_reference(rule, extra):
+    # shared curvature and one linear term: every honest momentum is equal,
+    # so ALIE submits the honest mean and its one probe is the server's input
+    inst = build_random_quadratic_family(n=5, d=2, rng=RngStream(8, 0, "r"), b=1,
+                                         shared_curvature=True)
+    inst = replace(inst, locals=tuple(QuadraticLocal(loc.a, np.full(2, 0.3))
+                                      for loc in inst.locals))
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule=rule, n=5, b=1, **extra),
+                    attack=AttackSpec(kind="alie"),
+                    schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
+                    T=30, x0=DenseVector([1.0, -1.0]))
+    spreads = []
+    real_alie = trainer.alie
+
+    def spread_alie(view, cands):
+        spreads.append(np.ptp(view.honest_updates, axis=0).max())
+        return real_alie(view, cands)
+
+    with mock.patch.object(trainer, "alie", spread_alie):
+        assert_matches_reference(cfg)
+    assert spreads and max(spreads) == 0.0
 
 
 @pytest.mark.parametrize("attack", ["label_flip", "sign_flip"])
@@ -201,7 +227,7 @@ def test_classification_run_across_an_index_block_matches_reference(attack):
     inst = build_classification_task(n_workers=5, b=1, n_classes=3, dim=2,
                                      samples_per_class=6, seed=2, minibatch=3)
     cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwtm", n=5, b=1, q=1),
-                    attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                    attack=AttackSpec(kind=attack),
                     schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
                     T=trainer._NOISE_BLOCK + 5, x0=DenseVector(np.zeros(inst.dim)), seed=9)
     assert_matches_reference(cfg)
@@ -223,7 +249,7 @@ def _minibatch_config(attack, T, seed=9):
     inst = build_classification_task(n_workers=6, b=1, n_classes=4, dim=3,
                                      samples_per_class=7, seed=seed, minibatch=3)
     return RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=6, b=1),
-                     attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                     attack=AttackSpec(kind=attack),
                      schedule=ScheduleSpec(gamma0=0.05, momentum="constant", beta=0.5),
                      T=T, x0=DenseVector(np.zeros(inst.dim)), seed=seed)
 
@@ -399,7 +425,7 @@ def test_aggregate_raising_mid_block(exc, text):
     inst = with_noise(build_random_quadratic_family(n=5, d=3, rng=RngStream(1, 0, "r"), b=1),
                       NoiseModel("gaussian", sigma=0.5))
     cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=5, b=1),
-                    attack=AttackSpec(kind="sign_flip", byzantine_ids=inst.pop.byzantine_ids),
+                    attack=AttackSpec(kind="sign_flip"),
                     schedule=ScheduleSpec(gamma0=0.05), T=40, x0=DenseVector([1.0, 0.0, -1.0]))
     with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
             mock.patch.object(trainer, "aggregate", _raising_on_call(11, exc)):

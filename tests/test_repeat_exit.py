@@ -44,7 +44,7 @@ def _quadratic(rule, attack, schedule, T, n=7, b=2, d=2, seed=0, **rule_kw):
     inst = build_random_quadratic_family(n=n, d=d, rng=RngStream(seed, 0, "r"), b=b,
                                          shared_curvature=d == 1)
     return RunConfig(problem=inst, aggregator=AggregatorSpec(rule=rule, n=n, b=b, **rule_kw),
-                     attack=AttackSpec(kind=attack, byzantine_ids=inst.pop.byzantine_ids),
+                     attack=AttackSpec(kind=attack),
                      schedule=schedule, T=T, x0=DenseVector(np.full(d, 1.0)))
 
 

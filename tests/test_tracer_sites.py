@@ -122,7 +122,7 @@ def test_traced_classification_run_counts_its_steps():
     inst = build_classification_task(n_workers=5, b=1, n_classes=3, dim=2,
                                      samples_per_class=6, minibatch=2)
     cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=5, b=1),
-                    attack=AttackSpec(kind="label_flip", byzantine_ids=inst.pop.byzantine_ids),
+                    attack=AttackSpec(kind="label_flip"),
                     schedule=trainer.ScheduleSpec(gamma0=0.05), T=6,
                     x0=DenseVector(np.zeros(inst.dim)))
     tracer = _traced(cfg)
@@ -136,7 +136,7 @@ def test_traced_classification_run_counts_its_steps():
 def test_traced_alie_quadratic_run_counts_its_steps():
     inst = build_random_quadratic_family(n=6, d=3, rng=RngStream(2, 0, "t"), b=1)
     cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwtm", n=6, b=1, q=1),
-                    attack=AttackSpec(kind="alie", byzantine_ids=inst.pop.byzantine_ids),
+                    attack=AttackSpec(kind="alie"),
                     schedule=trainer.ScheduleSpec(gamma0=0.05), T=5,
                     x0=DenseVector(np.ones(3)))
     tracer = _traced(cfg)

@@ -185,6 +185,22 @@ class TestSchedules:
         with pytest.raises(ConfigurationError, match=msg):
             ScheduleSpec(**kwargs)
 
+    @pytest.mark.parametrize("spec,kwargs,field", [
+        (AggregatorSpec, dict(rule="oracle_adversarial", n=3, variant="variance_sign",
+                              kappa=math.nan), "kappa"),
+        (AggregatorSpec, dict(rule="oracle_adversarial", n=3, variant="variance_sign",
+                              kappa=math.inf), "kappa"),
+        (AggregatorSpec, dict(rule="gm", n=3, nu=math.inf), "nu"),
+        (ScheduleSpec, dict(gamma0=math.inf), "gamma0"),
+        (ScheduleSpec, dict(gamma0=0.1, momentum="tied", c_beta=math.inf), "c_beta"),
+        (ScheduleSpec, dict(stepsize="pl_piecewise", s0=math.inf, alpha1=1.0), "s0"),
+        (ScheduleSpec, dict(stepsize="pl_piecewise", s0=5.0, alpha1=math.inf), "alpha1"),
+    ])
+    def test_non_finite_fields_refused_at_construction(self, spec, kwargs, field):
+        # config text refuses inf and nan as it parses; the Python API here
+        with pytest.raises(ConfigurationError, match=rf"\b{field} .*finite"):
+            spec(**kwargs)
+
 
 class TestTheoremSchedules:
     def test_plain_schedule_frozen_values(self):
@@ -371,9 +387,7 @@ class TestReproducibility:
             build_random_quadratic_family(n=20, d=10, rng=RngStream(3, 0, "instance"), b=4),
             NoiseModel("gaussian", sigma=0.5),
         )
-        byz = frozenset(range(16, 20))
-        cfg = _cfg(inst, rule="cwtm", q=4, T=15, seed=3,
-                   attack=AttackSpec(kind="alie", byzantine_ids=byz))
+        cfg = _cfg(inst, rule="cwtm", q=4, T=15, seed=3, attack=AttackSpec(kind="alie"))
         first = run(cfg)
         built = []
         seed_sequence = np.random.SeedSequence
@@ -471,19 +485,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="x0 dimension"):
             run(cfg)
 
-    def test_attack_ids_must_match_population(self):
-        rng = RngStream(0, 0, "t")
-        inst = build_random_quadratic_family(n=5, d=1, rng=rng, b=1)
-        cfg = _cfg(inst, attack=AttackSpec(kind="sign_flip",
-                                           byzantine_ids=frozenset({0})))
-        with pytest.raises(ConfigurationError, match="must match the population"):
-            run(cfg)
-
     def test_label_flip_needs_classification_task(self):
         rng = RngStream(0, 0, "t")
         inst = build_random_quadratic_family(n=5, d=1, rng=rng, b=1)
-        cfg = _cfg(inst, attack=AttackSpec(kind="label_flip",
-                                           byzantine_ids=frozenset({4})))
+        cfg = _cfg(inst, attack=AttackSpec(kind="label_flip"))
         with pytest.raises(ConfigurationError, match="classification task"):
             run(cfg)
 
@@ -528,8 +533,7 @@ class TestHonestShards:
         inst = build_classification_task(n_workers=10, b=2, n_classes=10, dim=8, seed=0,
                                          minibatch=8)
         cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=10, b=2),
-                        attack=AttackSpec(kind="label_flip",
-                                          byzantine_ids=inst.pop.byzantine_ids),
+                        attack=AttackSpec(kind="label_flip"),
                         schedule=ScheduleSpec(gamma0=0.05), T=2048,
                         x0=DenseVector(np.zeros(inst.dim)), seed=0)
         tracemalloc.start()
@@ -546,7 +550,7 @@ class TestHonestShards:
         inst = build_classification_task(n_workers=6, b=2, n_classes=3, dim=2,
                                          samples_per_class=5, seed=1, minibatch=4)
         cfg = _cfg(inst, rule="cwm", T=3, x0=0.0,
-                   attack=AttackSpec(kind="label_flip", byzantine_ids=inst.pop.byzantine_ids))
+                   attack=AttackSpec(kind="label_flip"))
         built = []
         check = SyntheticClassificationTask.__post_init__
         monkeypatch.setattr(SyntheticClassificationTask, "__post_init__",
@@ -566,8 +570,7 @@ class TestAttackIntegration:
         gamma = 0.05
         cfg = _cfg(inst, T=1, x0=1.0,
                    sched=ScheduleSpec(stepsize="constant", gamma0=gamma),
-                   attack=AttackSpec(kind="sign_flip",
-                                     byzantine_ids=frozenset({2})))
+                   attack=AttackSpec(kind="sign_flip"))
         rec = run(cfg)
         g = inst.grads(np.array([1.0]))[:, 0].tolist()
         agg = (g[0] + g[1] - g[2]) / 3.0
@@ -579,7 +582,7 @@ class TestAttackIntegration:
         gamma = 0.05
         cfg = _cfg(inst, T=1, x0=1.0,
                    sched=ScheduleSpec(stepsize="constant", gamma0=gamma),
-                   attack=AttackSpec(kind="alie", byzantine_ids=frozenset({3})))
+                   attack=AttackSpec(kind="alie"))
         rec = run(cfg)
         g = inst.grads(np.array([1.0]))[:3, 0]
         mu_h = g.mean()
@@ -603,8 +606,7 @@ class TestAttackIntegration:
                                          samples_per_class=8)
         cfg = _cfg(inst, rule="cwm", T=5, x0=np.zeros(inst.dim),
                    sched=ScheduleSpec(stepsize="constant", gamma0=0.05),
-                   attack=AttackSpec(kind="label_flip",
-                                     byzantine_ids=frozenset({3})))
+                   attack=AttackSpec(kind="label_flip"))
         rec = run(cfg)
         assert np.all(np.isfinite(rec.xs))
 
@@ -621,7 +623,7 @@ class TestAttackIntegration:
         x0 = np.linspace(-0.5, 0.5, inst.dim)
         cfg = _cfg(inst, T=1, x0=x0, seed=seed,
                    sched=ScheduleSpec(stepsize="constant", gamma0=gamma),
-                   attack=AttackSpec(kind=attack, byzantine_ids=frozenset({3})))
+                   attack=AttackSpec(kind=attack))
         d = inst.dim
         rows = []
         for w in range(4):
@@ -635,7 +637,7 @@ class TestAttackIntegration:
     def test_sign_flip_biases_the_average(self):
         rng = RngStream(44, 0, "t")
         inst = build_random_quadratic_family(n=5, d=2, rng=rng, b=1)
-        attack = AttackSpec(kind="sign_flip", byzantine_ids=frozenset({4}))
+        attack = AttackSpec(kind="sign_flip")
         sched = ScheduleSpec(stepsize="constant", gamma0=0.05)
         clean = run(_honest_mean_cfg(inst, T=400, sched=sched))
         avg = run(_cfg(inst, T=400, sched=sched, attack=attack))
@@ -647,8 +649,7 @@ class TestAttackIntegration:
         rng = RngStream(45, 0, "t")
         inst = build_random_quadratic_family(n=5, d=2, rng=rng, b=1,
                                              shared_curvature=True)
-        attack = AttackSpec(kind="alie", byzantine_ids=frozenset({4}),
-                            candidate_alphas=(-50.0, 50.0))
+        attack = AttackSpec(kind="alie", candidate_alphas=(-50.0, 50.0))
         sched = ScheduleSpec(stepsize="constant", gamma0=0.05)
         clean = run(_honest_mean_cfg(inst, T=400, sched=sched))
         avg = run(_cfg(inst, T=400, sched=sched, attack=attack))
@@ -667,7 +668,7 @@ class TestAttackIntegration:
         cfg = _cfg(inst, T=T, seed=seed,
                    sched=ScheduleSpec(stepsize="constant", gamma0=gamma,
                                       momentum="constant", beta=beta),
-                   attack=AttackSpec(kind="sign_flip", byzantine_ids=frozenset({3})))
+                   attack=AttackSpec(kind="sign_flip"))
         rec = run(cfg)
 
         gens = [RngStream(seed, w, "noise").generator for w in range(4)]
@@ -692,7 +693,7 @@ class TestAttackIntegration:
                           NoiseModel("gaussian", sigma=0.5))
         T = 15
         cfg = _cfg(inst, rule=rule, T=T, sched=ScheduleSpec(stepsize="constant", gamma0=0.05),
-                   attack=AttackSpec(kind="alie", byzantine_ids=frozenset({4, 5})), **kw)
+                   attack=AttackSpec(kind="alie"), **kw)
         calls = []
         for mod in (attacks_mod, trainer_mod):
             original = mod.aggregate
@@ -702,23 +703,8 @@ class TestAttackIntegration:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(mod, "aggregate", counting)
-        reused = run(cfg)
+        run(cfg)
         assert len(calls) == T
-
-        # the trainer aggregating the crafted input itself lands on the same
-        # iterates, bit for bit
-        original_alie = trainer_mod.alie
-
-        def forgetful_alie(view, cands):
-            crafted = original_alie(view, cands)
-            view.server_output = None
-            return crafted
-
-        monkeypatch.setattr(trainer_mod, "alie", forgetful_alie)
-        calls.clear()
-        recomputed = run(cfg)
-        assert len(calls) == 2 * T
-        assert reused.xs.tobytes() == recomputed.xs.tobytes()
 
     def test_alie_with_zero_dispersion_still_aggregates_once(self, monkeypatch):
         import robustsgd.attacks as attacks_mod
@@ -732,7 +718,7 @@ class TestAttackIntegration:
                                           for loc in inst.locals))
         T = 6
         cfg = _cfg(inst, rule="cwm", T=T,
-                   attack=AttackSpec(kind="alie", byzantine_ids=frozenset({4})))
+                   attack=AttackSpec(kind="alie"))
         calls = []
         for name, mod in (("attacks", attacks_mod), ("trainer", trainer_mod)):
             original = mod.aggregate
@@ -743,7 +729,7 @@ class TestAttackIntegration:
 
             monkeypatch.setattr(mod, "aggregate", counting)
         rec = run(cfg)
-        assert calls == ["trainer"] * T
+        assert calls == ["attacks"] * T
         assert np.all(np.isfinite(rec.xs))
 
 
