@@ -149,6 +149,8 @@ def cmd_estimate_kappa(args) -> int:
 
 def cmd_certify(args) -> int:
     loaded = load_run_config(args.instance)
+    for w in loaded.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     res = certify_dissimilarity(loaded.config.problem, args.G, args.B)
     payload = {"status": res.status, "margin": res.margin}
     if res.witness is not None:

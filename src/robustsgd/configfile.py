@@ -86,49 +86,6 @@ _SWEEP_REGISTRY = {
     "sweep.seed": ("optint", None, "sweep master seed (default run.seed)"),
 }
 
-# keys that only some problem kinds, rules, attacks or schedules read:
-# key -> (selecting key, its readers[, selecting key, its readers, ...]); a
-# key is read if any selecting key holds one of its readers. A reader
-# (value, key) reads it only while that other key is set to a noisy kind,
-# not unset and not none. The kappa keys are also read by materialize's
-# tied-momentum warning.
-_READ_ONLY_BY = {
-    "problem.mu": ("problem.kind", ("hetero", "noise")),
-    "problem.G": ("problem.kind", ("hetero", "synthetic")),
-    "problem.B": ("problem.kind", ("hetero", "noise", "synthetic")),
-    "problem.sigma": ("problem.kind", ("noise", ("hetero", "problem.noise"),
-                                       ("synthetic", "problem.noise"),
-                                       ("random_quadratic", "problem.noise"))),
-    "problem.d": ("problem.kind", ("hetero", "synthetic", "random_quadratic")),
-    "problem.n": ("problem.kind", ("synthetic", "random_quadratic", "classification")),
-    "problem.k": ("problem.kind", ("synthetic",)),
-    "problem.a": ("problem.kind", ("synthetic",)),
-    "problem.b": ("problem.kind", ("random_quadratic", "classification")),
-    "problem.noise": ("problem.kind", ("hetero", "synthetic", "random_quadratic",
-                                       "classification")),
-    "problem.shared_curvature": ("problem.kind", ("random_quadratic",)),
-    "problem.n_classes": ("problem.kind", ("classification",)),
-    "problem.dim": ("problem.kind", ("classification",)),
-    "problem.samples_per_class": ("problem.kind", ("classification",)),
-    "problem.alpha": ("problem.kind", ("classification",)),
-    "problem.minibatch": ("problem.kind", ("classification",)),
-    "problem.data_seed": ("problem.kind", ("random_quadratic", "classification")),
-    "problem.kappa": ("problem.kind", ("hetero", "noise"), "schedule.momentum", ("tied",)),
-    "aggregator.iters": ("aggregator.rule", ("gm",)),
-    "aggregator.nu": ("aggregator.rule", ("gm",)),
-    "aggregator.q": ("aggregator.rule", ("multi_krum", "cwtm")),
-    "aggregator.variant": ("aggregator.rule", ("oracle_adversarial",)),
-    "aggregator.kappa": ("aggregator.rule", ("oracle_adversarial",),
-                         "schedule.momentum", ("tied",)),
-    "attack.alphas": ("attack.kind", ("alie",)),
-    "schedule.s0": ("schedule.stepsize", ("pl_piecewise",)),
-    "schedule.alpha1": ("schedule.stepsize", ("pl_piecewise",)),
-    "schedule.T_max": ("schedule.stepsize", ("cosine",)),
-    "schedule.beta": ("schedule.momentum", ("constant",)),
-    "schedule.c_beta": ("schedule.momentum", ("tied",)),
-}
-
-
 def _keys(sweep: bool) -> dict:
     """The registry a run file (sweep=False) or a sweep file reads."""
     return {**_REGISTRY, **_SWEEP_REGISTRY} if sweep else _REGISTRY
@@ -216,11 +173,27 @@ def resolve(kv_raw: dict, allow_sweep_keys: bool = False) -> dict:
     return out
 
 
+_DEFAULTS = resolve({})
+
+
 @dataclass
 class LoadedConfig:
     kv: dict           # fully resolved typed values (echo source)
     config: RunConfig
     warnings: list
+    read: frozenset    # the keys materialize read
+
+
+class _Reads(dict):
+    """A dict that records the keys read by subscription."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def _build_problem(kv: dict):
@@ -228,19 +201,23 @@ def _build_problem(kv: dict):
     immutable, so equal keys share one: a config set-up that materializes
     many runs of one problem (a sweep, a benchmark's run mix) builds it once.
     Each value is keyed with its repr, which tells -0.0 from 0.0; a build
-    that raises is not kept."""
-    return _problem_of(tuple(sorted((k, v, repr(v)) for k, v in kv.items()
-                                    if k.startswith("problem."))))
+    that raises is not kept. The keys the build read are read from `kv`
+    again, so a recording mapping sees a cached instance's keys as read."""
+    inst, read = _problem_of(tuple(sorted((k, v, repr(v)) for k, v in kv.items()
+                                          if k.startswith("problem."))))
+    for key in read:
+        kv[key]
+    return inst
 
 
 @functools.lru_cache(maxsize=64)
 def _problem_of(items: tuple):
-    return _new_problem({k: v for k, v, _ in items})
+    kv = _Reads({k: v for k, v, _ in items})
+    return _new_problem(kv), frozenset(kv.read)
 
 
 def _new_problem(kv: dict):
-    """Build the instance; it reads exactly the keys that _reads finds read
-    for its kind, and problem.kappa for hetero and noise."""
+    """Build the instance, reading only the keys its kind uses."""
     kind = kv["problem.kind"]
     if kind == "hetero":
         inst = build_hetero_lower_bound(
@@ -280,75 +257,49 @@ def _new_problem(kv: dict):
     else:
         raise ConfigurationError(f"config key 'problem.kind': unknown kind {kind!r}")
     if kv["problem.noise"] is not None:
-        sigma = kv["problem.sigma"] if _reads(kv, "problem.sigma") else 0.0
+        sigma = kv["problem.sigma"] if kv["problem.noise"] != "none" else 0.0
         inst = with_noise(inst, NoiseModel(kind=kv["problem.noise"], sigma=sigma))
     return inst
 
 
-def _selectors(key: str):
-    """The (selecting key, its readers) pairs of `key`'s _READ_ONLY_BY entry."""
-    entry = _READ_ONLY_BY[key]
-    return zip(entry[::2], entry[1::2])
-
-
-def _reads(kv: dict, key: str) -> bool:
-    """Whether the configured problem kind, rule, attack or schedule reads `key`."""
-    return any(kv[selector] == r if isinstance(r, str)
-               else kv[selector] == r[0] and kv[r[1]] not in (None, "none")
-               for selector, readers in _selectors(key) for r in readers)
-
-
-def _unread_keys(kv: dict) -> list:
-    """A warning for each key set away from its default (or set at all,
-    if it has none) that the configured problem kind, rule, attack or
-    schedule never reads."""
-    out = []
-    for key in _READ_ONLY_BY:
-        tag, default, _help = _REGISTRY[key]
-        if _reads(kv, key) or kv[key] == (
-                None if default is None else _convert(key, tag, default)):
-            continue
-        wheres, names = [], []
-        for selector, readers in _selectors(key):
-            where = f"{selector} = {kv[selector]}"
-            for r in readers:
-                if not isinstance(r, str) and r[0] == kv[selector]:
-                    where += f" with {r[1]} " + ("unset" if kv[r[1]] is None else f"= {kv[r[1]]}")
-            wheres.append(where)
-            names += [r if isinstance(r, str) else f"{r[0]} with a noisy {r[1]}" for r in readers]
-        verb = "does" if len(wheres) == 1 else "do"
-        out.append(f"config key {key!r} is ignored: {' and '.join(wheres)} {verb} not "
-                   f"read it (read by {' / '.join(names)} only)")
-    return out
-
-
 def materialize(kv: dict) -> LoadedConfig:
     """Build a fully validated RunConfig from resolved key values. All
-    structural invariants are checked here, eagerly — not at run time."""
-    warnings = _unread_keys(kv)
-    inst = _build_problem(kv)
-    n = inst.pop.n
+    structural invariants are checked here, eagerly — not at run time. A key
+    is read only where its value is used; each key set away from its default
+    that the build did not read gets a warning."""
+    reads = _Reads(kv)
+    inst = _build_problem(reads)
 
-    agg = AggregatorSpec(
-        rule=kv["aggregator.rule"], n=n, b=kv["aggregator.b"],
-        q=kv["aggregator.q"], iters=kv["aggregator.iters"],
-        nu=kv["aggregator.nu"], kappa=kv["aggregator.kappa"],
-        variant=kv["aggregator.variant"],
-    )
-    attack = AttackSpec(kind=kv["attack.kind"], candidate_alphas=tuple(kv["attack.alphas"]))
-    gamma0 = kv["schedule.gamma0"]
-    if gamma0 is None and kv["schedule.stepsize"] != "pl_piecewise":
+    rule = reads["aggregator.rule"]
+    used = {}
+    if rule in ("multi_krum", "cwtm"):
+        used["q"] = reads["aggregator.q"]
+    elif rule == "gm":
+        used.update(iters=reads["aggregator.iters"], nu=reads["aggregator.nu"])
+    elif rule == "oracle_adversarial":
+        used.update(kappa=reads["aggregator.kappa"], variant=reads["aggregator.variant"])
+    agg = AggregatorSpec(rule=rule, n=inst.pop.n, b=reads["aggregator.b"], **used)
+
+    kind = reads["attack.kind"]
+    used = {"candidate_alphas": tuple(reads["attack.alphas"])} if kind == "alie" else {}
+    attack = AttackSpec(kind=kind, **used)
+
+    stepsize, momentum = reads["schedule.stepsize"], reads["schedule.momentum"]
+    used = {}
+    if stepsize == "pl_piecewise":
+        used.update(s0=reads["schedule.s0"], alpha1=reads["schedule.alpha1"])
+    elif stepsize == "cosine":
+        used["T_max"] = reads["schedule.T_max"]
+    if momentum == "constant":
+        used["beta"] = reads["schedule.beta"]
+    elif momentum == "tied":
+        used["c_beta"] = reads["schedule.c_beta"]
+    gamma0 = reads["schedule.gamma0"]
+    if gamma0 is None and stepsize != "pl_piecewise":
         gamma0 = 0.1
-    sched = ScheduleSpec(
-        stepsize=kv["schedule.stepsize"], gamma0=gamma0,
-        s0=kv["schedule.s0"], alpha1=kv["schedule.alpha1"],
-        T_max=kv["schedule.T_max"], momentum=kv["schedule.momentum"],
-        beta=kv["schedule.beta"], c_beta=kv["schedule.c_beta"],
-    )
-    kv = dict(kv)
-    kv["schedule.gamma0"] = sched.gamma0  # echo the effective value
+    sched = ScheduleSpec(stepsize=stepsize, gamma0=gamma0, momentum=momentum, **used)
 
-    x0_vals = kv["run.x0"]
+    x0_vals = reads["run.x0"]
     if len(x0_vals) == 1:
         x0 = DenseVector(np.full(inst.dim, x0_vals[0]))
     elif len(x0_vals) == inst.dim:
@@ -361,22 +312,38 @@ def materialize(kv: dict) -> LoadedConfig:
 
     config = RunConfig(
         problem=inst, aggregator=agg, attack=attack, schedule=sched,
-        T=kv["run.T"], x0=x0, seed=kv["run.seed"],
-        replicates=kv["run.replicates"],
+        T=reads["run.T"], x0=x0, seed=reads["run.seed"],
+        replicates=reads["run.replicates"],
     )
     _validate_run(config)  # eager: gamma*L bounds, dimension coherence
 
-    kappa = agg.kappa if agg.kappa is not None else kv["problem.kappa"]
+    warnings = []
     B = inst.analytic.B
-    # B * B overflows to inf on a huge finite B, where B**2 would raise
-    kb2 = kappa * B * B if kappa is not None and B is not None else None
-    if kb2 is not None and kb2 >= 1.0 / 56.0 and sched.momentum == "tied":
-        warnings.append(
-            f"kappa*B^2 = {kb2:.6g} >= 1/56: the momentum convergence "
-            f"guarantee does not apply (descent constant 3/8 - 21*kappa*B^2 "
-            f"becomes {3 / 8 - 21 * kb2:.4g})"
-        )
-    return LoadedConfig(kv=kv, config=config, warnings=warnings)
+    if momentum == "tied" and B is not None:
+        kappa = reads["aggregator.kappa"]
+        if kappa is None:
+            kappa = reads["problem.kappa"]
+        # B * B overflows to inf on a huge finite B, where B**2 would raise
+        if kappa is not None and (kb2 := kappa * B * B) >= 1.0 / 56.0:
+            warnings.append(
+                f"kappa*B^2 = {kb2:.6g} >= 1/56: the momentum convergence "
+                f"guarantee does not apply (descent constant 3/8 - 21*kappa*B^2 "
+                f"becomes {3 / 8 - 21 * kb2:.4g})"
+            )
+
+    # a warning names the string-valued keys of its key's section that were read
+    selectors = [key for key, (tag, _default, _help) in _REGISTRY.items()
+                 if tag in ("str", "optstr") and key in reads.read]
+    ignored = []
+    for key, default in _DEFAULTS.items():
+        if key not in reads.read and kv[key] != default:
+            section = key.split(".")[0] + "."
+            in_force = ", ".join(f"{k} unset" if kv[k] is None else f"{k} = {kv[k]}"
+                                 for k in selectors if k.startswith(section))
+            ignored.append(f"config key {key!r} is ignored: nothing reads it under {in_force}")
+    echo = {**kv, "schedule.gamma0": sched.gamma0}  # the effective value
+    return LoadedConfig(kv=echo, config=config, warnings=ignored + warnings,
+                        read=frozenset(reads.read))
 
 
 def load_run_config(path: str) -> LoadedConfig:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .configfile import _REGISTRY, _read_text, _reads, materialize, parse_config_text, resolve
+from .configfile import _REGISTRY, _read_text, materialize, parse_config_text, resolve
 from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RunConfig
 from .trainer import C_BETA, run
 
@@ -202,9 +202,10 @@ def cell_kv(spec: SweepSpec, params: dict) -> dict:
     if params["T"] is not None:
         kv["run.T"] = int(params["T"])
     if params["kappa"] is not None:
-        # the kappa keys the cell reads, or both if it reads neither, so that warns
+        # the kappa keys the cell reads with both set, or both (so they warn) if neither
         kappas = ("aggregator.kappa", "problem.kappa")
-        for key in [k for k in kappas if _reads(kv, k)] or kappas:
+        read = materialize({**kv, **dict.fromkeys(kappas, params["kappa"])}).read
+        for key in [k for k in kappas if k in read] or kappas:
             kv[key] = params["kappa"]
     return kv
 

@@ -470,9 +470,6 @@ def run(config: RunConfig) -> RunRecord:
     m = np.zeros((honest.size if crafted else n, d))
     exact = oracle.honest_grads if crafted else oracle.grads
 
-    f_star = None
-    if x_star is not None:
-        f_star = inst.f_H(x_star)
     ref = inst.analytic.x_F_star
     if ref is None:
         ref = x_star
@@ -485,7 +482,10 @@ def run(config: RunConfig) -> RunRecord:
     xs, gammas, betas = record.xs, record.gamma, record.beta
     xs[0] = config.x0.values
     x = xs[0]
-    G = None if minibatch else exact(x)  # exact gradients at x^{t-1}
+    # an overflow here is reported as the loop's failure at iteration 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_star = None if x_star is None else inst.f_H(x_star)
+        G = None if minibatch else exact(x)  # exact gradients at x^{t-1}
     # with gamma and beta fixed and no noise, a step is a pure function of (x, m)
     watch = None
     if noise.deterministic and sched.stepsize in ("constant", "invsqrt"):

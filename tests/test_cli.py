@@ -100,7 +100,8 @@ aggregator.b = 1
 run.T = 5
 """
 
-# the lines of a run with tied momentum, which reads both kappa keys
+# the lines of a run with tied momentum, whose kappa*B^2 warning reads a
+# kappa key where the instance declares B
 TIED = "schedule.momentum = tied\nschedule.gamma0 = 0.01\n"
 
 
@@ -182,7 +183,7 @@ class TestConfigParsing:
         assert any("1/56" in w for w in loaded.warnings)
 
     @pytest.mark.parametrize("rule,attack,keys", [
-        ("cwm", "none", ["aggregator.iters", "aggregator.nu", "aggregator.q",
+        ("cwm", "none", ["aggregator.q", "aggregator.iters", "aggregator.nu",
                          "aggregator.variant", "attack.alphas"]),
         ("cwtm", "sign_flip", ["aggregator.iters", "aggregator.nu", "aggregator.variant",
                                "attack.alphas"]),
@@ -223,17 +224,31 @@ class TestConfigParsing:
         assert warnings(reader + f"{key} = {value}\n") == []
         assert warnings(f"{key} = {default}\n" if default else "") == []
 
-    def test_every_key_a_run_may_not_read_can_warn(self):
-        # the keys no run can leave unread; any other key belongs in
-        # _READ_ONLY_BY, or setting it where it is unread passes in silence
+    def test_every_key_a_run_may_not_read_can_warn(self, tmp_path):
+        # the keys no run can leave unread; each other key, set to a value
+        # away from its default, warns in a config that does not read it
         always_read = {
             "problem.kind", "aggregator.rule", "aggregator.b", "attack.kind",
             "schedule.stepsize", "schedule.gamma0", "schedule.momentum", "run.T", "run.x0",
             "run.seed", "run.replicates",
         }
-        assert set(configfile._REGISTRY) - set(configfile._READ_ONLY_BY) == always_read
+        # between them these leave every other key unread: the default hetero
+        # run reads no key of another kind, noise reads neither problem.d nor
+        # problem.noise, and random_quadratic none of problem.mu, .G, .B, .kappa
+        bases = ["", "problem.kind = noise\n", "problem.kind = random_quadratic\n"]
+        away = {"int": "3", "optint": "3", "float": "0.25", "optfloat": "0.25",
+                "bool": "true", "optstr": "gaussian", "floatlist": "3"}
+        for base in bases:
+            loaded = load_run_config(_write(tmp_path / "c.cfg", "run.T = 5\n" + base))
+            assert always_read <= loaded.read
+        for key, (tag, _default, _help) in configfile._REGISTRY.items():
+            if key in always_read:
+                continue
+            warned = [w.split("'")[1] for base in bases for w in load_run_config(
+                _write(tmp_path / "c.cfg", f"run.T = 5\n{base}{key} = {away[tag]}\n")).warnings]
+            assert key in warned
 
-    # a kappa key, a config where nothing reads it, and one config per reader
+    # a kappa key, a config where nothing reads it, and one config that reads it
     @pytest.mark.parametrize("key,unread,reader", [
         ("aggregator.kappa", "aggregator.rule = cwm\n",
          "aggregator.rule = oracle_adversarial\naggregator.variant = hetero_c1\n"),
@@ -241,6 +256,16 @@ class TestConfigParsing:
         ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = hetero\n"),
         ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = noise\n"),
         ("problem.kappa", "problem.kind = synthetic\n", "problem.kind = synthetic\n" + TIED),
+        # tied momentum reads problem.kappa only while aggregator.kappa is unset
+        ("problem.kappa", "problem.kind = synthetic\naggregator.kappa = 0.001\n" + TIED,
+         "problem.kind = synthetic\n" + TIED),
+        # and a kappa key only on an instance that declares B (the softmax
+        # task.s L of about 60 needs a smaller step under tied momentum)
+        ("problem.kappa", "problem.kind = random_quadratic\n" + TIED,
+         "problem.kind = hetero\n" + TIED),
+        ("aggregator.kappa", "problem.kind = classification\naggregator.rule = cwm\n"
+         "schedule.momentum = tied\nschedule.gamma0 = 0.0001\n",
+         "problem.kind = synthetic\naggregator.rule = cwm\n" + TIED),
     ])
     def test_kappa_keys_warn_only_where_unread(self, tmp_path, key, unread, reader):
         def warnings(text):
@@ -249,20 +274,9 @@ class TestConfigParsing:
 
         got = warnings(unread)
         assert [w.split("'")[1] for w in got] == [key]
-        assert "schedule.momentum = zero do not read it" in got[0]
+        selector = "problem.kind" if key == "problem.kappa" else "aggregator.rule"
+        assert f"is ignored: nothing reads it under {selector} = " in got[0]
         assert warnings(reader) == []
-
-
-class _Reads(dict):
-    """A dict that records the keys read by subscription."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
 
 
 class TestProblemKeys:
@@ -303,13 +317,14 @@ class TestProblemKeys:
         text = UNREAD_KEYS + "problem.mu = 5\nproblem.k = 3\n"
         loaded = load_run_config(_write(tmp_path / "c.cfg", text))
         assert [w.split("'")[1] for w in loaded.warnings] == ["problem.mu", "problem.k"]
-        assert "problem.kind = random_quadratic does not read it" in loaded.warnings[0]
+        assert loaded.warnings[0].endswith(
+            "nothing reads it under problem.kind = random_quadratic, problem.noise unset")
 
     def test_sigma_without_a_noise_override_warns(self, tmp_path):
         loaded = load_run_config(_write(tmp_path / "c.cfg", UNREAD_KEYS + "problem.sigma = 3\n"))
         assert [w.split("'")[1] for w in loaded.warnings] == ["problem.sigma"]
-        assert ("problem.kind = random_quadratic with problem.noise unset does not read it"
-                in loaded.warnings[0])
+        assert loaded.warnings[0].endswith(
+            "nothing reads it under problem.kind = random_quadratic, problem.noise unset")
         noisy = UNREAD_KEYS + "problem.sigma = 3\nproblem.noise = gaussian\n"
         assert load_run_config(_write(tmp_path / "n.cfg", noisy)).warnings == []
 
@@ -319,8 +334,8 @@ class TestProblemKeys:
         text = UNREAD_KEYS + "problem.sigma = 0.3\nproblem.noise = none\n"
         loaded = load_run_config(_write(tmp_path / "c.cfg", text))
         assert [w.split("'")[1] for w in loaded.warnings] == ["problem.sigma"]
-        assert ("problem.kind = random_quadratic with problem.noise = none does not read it"
-                in loaded.warnings[0])
+        assert loaded.warnings[0].endswith(
+            "nothing reads it under problem.kind = random_quadratic, problem.noise = none")
         assert loaded.config.problem.noise == NoiseModel("none", 0.0)
 
     def test_hetero_takes_the_noise_override(self, tmp_path):
@@ -339,12 +354,14 @@ class TestProblemKeys:
         ("random_quadratic", "problem.noise = none\nproblem.sigma = 0.3\n"),
         ("classification", "problem.n = 3\nproblem.samples_per_class = 4\n"),
     ])
-    def test_problem_key_readers_are_what_the_builder_reads(self, kind, extra):
-        kv = _Reads(resolve(parse_config_text(f"problem.kind = {kind}\n" + extra)))
-        configfile._new_problem(kv)
-        listed = {key for key, (selector, *_) in configfile._READ_ONLY_BY.items()
-                  if selector == "problem.kind" and configfile._reads(dict(kv), key)}
-        assert kv.read - {"problem.kind"} == listed
+    def test_a_cached_problem_reports_the_keys_its_build_read(self, kind, extra):
+        kv = resolve(parse_config_text(f"problem.kind = {kind}\n" + extra))
+        built = configfile._Reads(kv)
+        configfile._new_problem(built)
+        # the first load may build the instance; the second is a cache hit
+        for _ in range(2):
+            read = materialize(kv).read
+            assert {k for k in read if k.startswith("problem.")} == built.read
 
 
 # ---- run command ---------------------------------------------------------
@@ -488,8 +505,8 @@ class TestSweepCommand:
          "aggregator.variant = variance_sign\naggregator.kappa = 0.005\n",
          {"aggregator.kappa"}, set()),
         ("problem.kind = hetero\n", {"problem.kappa"}, set()),
-        ("problem.kind = synthetic\nschedule.momentum = tied\n",
-         {"aggregator.kappa", "problem.kappa"}, set()),
+        # tied momentum reads aggregator.kappa, and problem.kappa only without it
+        ("problem.kind = synthetic\nschedule.momentum = tied\n", {"aggregator.kappa"}, set()),
         ("problem.kind = synthetic\n",  # nothing reads the axis: both keys warn
          {"aggregator.kappa", "problem.kappa"}, {"aggregator.kappa", "problem.kappa"}),
     ])
@@ -503,16 +520,22 @@ class TestSweepCommand:
                     if kv[k] == params["kappa"]} == kappa_keys
             assert {w.split("'")[1] for w in materialize(kv).warnings} == warned
 
-    def test_each_distinct_warning_prints_once(self, tmp_path, capsys):
-        # two cells of a cwm sweep, each warning about the same two keys
-        text = (UNREAD_KEYS + "aggregator.rule = cwm\naggregator.iters = 7\n"
-                "aggregator.variant = hetero_c1\nsweep.gamma0 = 0.05,0.1\n")
+    # two cells, each warning about the same two keys: unread keys of a cwm
+    # sweep, and the swept kappa keys, which no cell of a synthetic sweep reads
+    @pytest.mark.parametrize("text,keys", [
+        (UNREAD_KEYS + "aggregator.rule = cwm\naggregator.iters = 7\n"
+         "aggregator.variant = hetero_c1\nsweep.gamma0 = 0.05,0.1\n",
+         ["aggregator.iters", "aggregator.variant"]),
+        ("problem.kind = synthetic\nrun.T = 5\nsweep.kappa = 0.001,0.002\n",
+         ["problem.kappa", "aggregator.kappa"]),
+    ])
+    def test_each_distinct_warning_prints_once(self, tmp_path, capsys, text, keys):
         out = tmp_path / "out"
         assert main(["sweep", _write(tmp_path / "s.cfg", text), "--out", str(out)]) == EXIT_OK
         captured = capsys.readouterr()
         assert "2 cells, 0 failed" in captured.out
         lines = [ln for ln in captured.err.splitlines() if ln.startswith("warning: ")]
-        assert [ln.split("'")[1] for ln in lines] == ["aggregator.iters", "aggregator.variant"]
+        assert [ln.split("'")[1] for ln in lines] == keys
 
     def test_a_cell_warning_the_base_lacks_prints_once(self, tmp_path, capsys):
         # kappa*B^2 = 0.5 >= 1/56 in the two cells with B^2 = 1, not in the base
@@ -791,6 +814,14 @@ class TestToolCommands:
         payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
         assert payload["status"] == "fail" and payload["margin"] is None
         assert all(math.isfinite(v) for v in payload["witness"])
+
+    def test_certify_prints_unread_key_warnings(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "c.cfg", "problem.kind = synthetic\nproblem.mu = 5\n")
+        rc = main(["certify", "--instance", cfg, "--G", "1.0", "--B", "0.5"])
+        assert rc == EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning: config key 'problem.mu' is ignored" in captured.err
+        assert json.loads(captured.out)["status"] in ("pass", "tight")
 
     @pytest.mark.parametrize("G, B", [("nan", "0.5"), ("1.0", "nan"), ("inf", "0"),
                                       ("1.0", "inf"), ("-1", "0.5"), ("1.0", "-0.5")])

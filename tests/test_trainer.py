@@ -506,6 +506,14 @@ class TestValidation:
         with pytest.raises(NumericFailure, match="non-finite"):
             run(cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_first_gradient_fails_at_iteration_one(self):
+        # mu * x0 overflows in the gradients at x^0, before the first step
+        inst = build_hetero_lower_bound(mu=1e300, G=1.0, B=0.5)
+        with pytest.raises(NumericFailure, match="must be finite") as exc:
+            run(_cfg(inst, T=2, x0=1e300))
+        assert exc.value.iteration == 1
+
 
 # ---- attacks inside the loop -------------------------------------------------
 
