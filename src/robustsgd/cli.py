@@ -20,7 +20,9 @@ best.csv picks neither. Any other exception inside a cell is a fault of the
 program and propagates.
 
 An --out path that cannot be made a directory (an existing file, or a path
-under one) exits 2 with a message naming the path.
+under one) exits 2 with a message naming the path. So does a command whose
+arrays cannot be allocated (a run.T, sweep.T or --dim too large for memory),
+with NumPy's one-line MemoryError message.
 """
 
 from __future__ import annotations
@@ -217,7 +219,9 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:  # e.g. an --out path that is a file or lies under one
+    # e.g. an --out path that is a file or lies under one, or a T or --dim
+    # too large to allocate
+    except (OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

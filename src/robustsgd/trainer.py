@@ -17,18 +17,20 @@ to drawing it step by step. A classification step's minibatch gradients,
 the Byzantine workers' honest-style ones included, take one batched softmax
 pass. DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 
-A step computes only what the algorithm needs. The metric columns
-(grad_norm_sq, f_gap, dist_to_ref) are filled once per block of steps by a
-vectorised pass (fill_metrics) over the recorded iterates, bitwise what a
-per-step evaluation gives. The steps keep no honest gradient: the pass takes
-them from ProblemInstance.honest_grads at the block's iterates, one stacked
-call per chunk of them.
+A step computes only what the algorithm needs: the gradients at its own
+iterate x^{t-1}, the attack, the aggregate and the step. The metric columns
+(grad_norm_sq, f_gap, dist_to_ref) are filled after the loop by one
+vectorised pass (fill_metrics) over the finished iterates, a block of
+_NOISE_BLOCK rows at a time, bitwise what a per-step evaluation gives. The
+steps keep no honest gradient: the pass takes them from
+ProblemInstance.honest_grads at a block's iterates, one stacked call per
+chunk of them.
 
 A run without noise whose gamma and beta do not change with t (constant or
 invsqrt steps) is a fixed map of its state (x, m), so it stops stepping at
 the first exact repeat of that state within the last _REPEAT_WINDOW steps,
-confirmed on x and m both, and fills the rest of the record from the cycle,
-bitwise what stepping on gives.
+confirmed on x and m both, and copies the cycle into the rest of the
+iterates, bitwise what stepping on gives.
 """
 
 from __future__ import annotations
@@ -354,41 +356,43 @@ class _RepeatWatch:
 _METRICS_CHUNK = 64
 
 
-def fill_metrics(record: RunRecord, r0: int, k: int, inst: ProblemInstance,
-                 f_star, ref) -> Optional[tuple]:
-    """Fill rows r0 .. r0+k-1 of the record's defined metric columns from
-    its iterates x^{r0+1} .. x^{r0+k}; the other columns stay NaN.
-
-    The honest exact gradients at those iterates come from
-    inst.honest_grads, called on at most _METRICS_CHUNK iterates at a time
-    (not at all for k = 0). f_star (the optimal value) and ref (the
-    reference point) may be None, which leaves f_gap or dist_to_ref
-    undefined.
+def fill_metrics(record: RunRecord, k: int, inst: ProblemInstance) -> Optional[tuple]:
+    """Fill rows 0 .. k-1 of the record's defined metric columns from its
+    iterates x^1 .. x^k, a _NOISE_BLOCK of rows at a time, whose honest
+    exact gradients come from inst.honest_grads on at most _METRICS_CHUNK
+    iterates per call (no call for k = 0). f_gap reads f* = f_H(x*) and
+    dist_to_ref x_F*, else x*; a column whose point inst.analytic lacks
+    stays NaN, as do the other columns.
 
     Returns ("non-finite <column> at iteration <t>", column, t) for the
-    first non-finite value, in row order and then in column order, or None.
+    first non-finite value, in row order and then in column order, leaving
+    the later blocks unfilled, or None.
     Squared norms take np.vecdot, which runs np.dot's inner loop row by row,
     so each value is bitwise a per-step float(np.dot(r, r)); @, einsum and
     (r*r).sum round differently."""
-    X = record.xs[r0 + 1:r0 + 1 + k]
+    a = inst.analytic
+    ref = a.x_star if a.x_F_star is None else a.x_F_star
     with np.errstate(over="ignore", invalid="ignore"):
-        gH = np.empty_like(X)
-        for i in range(0, k, _METRICS_CHUNK):
-            gH[i:i + _METRICS_CHUNK] = _row_mean(inst.honest_grads(X[i:i + _METRICS_CHUNK]))
-        values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
-        if f_star is not None:
-            values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
-        if ref is not None:
-            r = X - ref.values
-            values.append(("dist_to_ref", record.dist_to_ref, np.sqrt(np.vecdot(r, r))))
-    for _, col, v in values:
-        col[r0:r0 + k] = v
-    ok = np.isfinite([v for _, _, v in values])
-    if ok.all():
-        return None
-    row = int(np.argmin(ok.all(axis=0)))
-    column, t = values[int(np.argmin(ok[:, row]))][0], r0 + row + 1
-    return f"non-finite {column} at iteration {t}", column, t
+        f_star = None if a.x_star is None else inst.f_H(a.x_star)
+        for r0 in range(0, k, _NOISE_BLOCK):
+            X = record.xs[r0 + 1:min(r0 + _NOISE_BLOCK, k) + 1]
+            gH = np.empty_like(X)
+            for i in range(0, len(X), _METRICS_CHUNK):
+                gH[i:i + _METRICS_CHUNK] = _row_mean(inst.honest_grads(X[i:i + _METRICS_CHUNK]))
+            values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
+            if f_star is not None:
+                values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
+            if ref is not None:
+                r = X - ref.values
+                values.append(("dist_to_ref", record.dist_to_ref, np.sqrt(np.vecdot(r, r))))
+            for _, col, v in values:
+                col[r0:r0 + len(X)] = v
+            ok = np.isfinite([v for _, _, v in values])
+            if not ok.all():
+                row = int(np.argmin(ok.all(axis=0)))
+                column, t = values[int(np.argmin(ok[:, row]))][0], r0 + row + 1
+                return f"non-finite {column} at iteration {t}", column, t
+    return None
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -397,8 +401,8 @@ def run(config: RunConfig) -> RunRecord:
     The loop keeps every worker's momentum as the rows of one (n, d)
     matrix, updated in place; under ALIE it holds the honest rows only,
     (h, d), since the crafted slots keep none. One call of
-    ProblemInstance.grads per step (honest_grads under ALIE), at the new
-    iterate, gives the next step's exact gradients of the rows m holds.
+    ProblemInstance.grads per step (honest_grads under ALIE), at the step's
+    own iterate x^{t-1}, gives the exact gradients of the rows m holds.
     Each worker's noise comes from blocks that NoiseModel.draw takes ahead
     from its own (seed, worker, "noise") stream, bitwise the draws a
     per-step oracle would make: perturbations added to the exact
@@ -417,26 +421,29 @@ def run(config: RunConfig) -> RunRecord:
       label_flip  they run on label-poisoned copies of their own shards
       alie        every Byzantine slot submits the common crafted vector
 
-    A step computes no metric. At the end of every block of at most
-    _NOISE_BLOCK steps one vectorised pass (fill_metrics) fills the block's
-    rows of grad_norm_sq, f_gap and dist_to_ref, bitwise what a per-step
-    evaluation gives, from one honest_grads call per chunk of the block's
-    recorded iterates. The first non-finite value raises NumericFailure naming the
-    iteration and the column, as a per-step check would: the iterate
-    (checked every step) before the columns, the columns in that order, and
-    a non-finite metric of an earlier step before any error a later step
-    raises. The failure carries that iteration, the column and the record
-    of the steps before it. The lyapunov column stays NaN; track_lyapunov
-    fills it from the record.
+    A step computes no metric. Once the loop ends, one vectorised pass
+    (fill_metrics) over the finished iterates fills grad_norm_sq, f_gap and
+    dist_to_ref, a block of _NOISE_BLOCK rows at a time, bitwise what a
+    per-step evaluation gives, from one honest_grads call per chunk of a
+    block's iterates. The first non-finite value raises NumericFailure
+    naming the iteration and the column, as a per-step check would: the
+    iterate (checked every step) before the columns, the columns in that
+    order, and a non-finite metric of an earlier step before any error a
+    later step raises. So a run whose metric overflows while its iterate
+    stays finite steps on until its iterate fails, a step raises or T is
+    reached, and then reports that earliest metric failure. The failure
+    carries that iteration, the column and the record of the steps before
+    it. The lyapunov column stays NaN; track_lyapunov fills it from the
+    record.
 
     A run whose step map does not change with t (deterministic noise and a
     constant or invsqrt stepsize, under any momentum kind) stops stepping
     once (x, m) repeats, byte for byte, within _REPEAT_WINDOW steps: an
     iterate found among the window's iterates at lag p keeps its momenta,
-    and p steps later x and m must both equal what was kept. The remaining
-    iterates repeat that cycle and gamma and beta their constants, and the
-    metrics pass runs over the remaining blocks in order, so every column,
-    and any NumericFailure, is bitwise what stepping all T gives.
+    and p steps later x and m must both equal what was kept. The loop then
+    copies that cycle into the remaining iterates and the constants into
+    gamma and beta, and ends, so the metrics pass reads what stepping all T
+    records: every column, and any NumericFailure, is bitwise the same.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -462,17 +469,12 @@ def run(config: RunConfig) -> RunRecord:
     # the shards every worker reads, label-poisoned for the Byzantine ones
     # under label_flip; its honest rows are inst's, so its grads give f_H's too
     oracle = inst._poisoned if attack.kind == "label_flip" else inst
-    x_star = inst.analytic.x_star
 
     # under ALIE the Byzantine slots keep no momentum: m holds the honest
     # rows, and a step's gradients are those rows alone
     held = honest if crafted else slice(None)
     m = np.zeros((honest.size if crafted else n, d))
     exact = oracle.honest_grads if crafted else oracle.grads
-
-    ref = inst.analytic.x_F_star
-    if ref is None:
-        ref = x_star
 
     record = RunRecord(
         t=np.arange(1, T + 1), grad_norm_sq=np.empty(T), f_gap=np.full(T, np.nan),
@@ -482,35 +484,29 @@ def run(config: RunConfig) -> RunRecord:
     xs, gammas, betas = record.xs, record.gamma, record.beta
     xs[0] = config.x0.values
     x = xs[0]
-    # an overflow here is reported as the loop's failure at iteration 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_star = None if x_star is None else inst.f_H(x_star)
-        G = None if minibatch else exact(x)  # exact gradients at x^{t-1}
     # with gamma and beta fixed and no noise, a step is a pure function of (x, m)
     watch = None
     if noise.deterministic and sched.stepsize in ("constant", "invsqrt"):
         watch = _RepeatWatch()
         watch.period(0, x, m)
 
-    t = 0
-    failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, T + 1):
                 gamma, beta = schedules(t, sched, T, L=L)
                 context = None
                 if agg.honest_aware:  # only the oracle rules read it
-                    context = OracleContext(x=x, x_star=x_star, instance=inst)
+                    context = OracleContext(x=x, x_star=inst.analytic.x_star, instance=inst)
 
                 k = (t - 1) % _NOISE_BLOCK
                 if streams and k == 0:
                     block = noise.draw(streams, min(_NOISE_BLOCK, T - t + 1), n, d, oracle.task)
                 if minibatch:
                     g = oracle.task.minibatch_grads(x, block[k, held])
-                elif streams:
-                    g = G + block[k, held]
                 else:
-                    g = G
+                    g = exact(x)  # exact gradients at x^{t-1}
+                    if streams:
+                        g += block[k, held]
                 m *= beta
                 m += (1.0 - beta) * g
 
@@ -538,26 +534,16 @@ def run(config: RunConfig) -> RunRecord:
                     xs[t + 1:] = xs[t + 1 - p + np.arange(T - t) % p]
                     gammas[t:] = gamma
                     betas[t:] = beta
-                    for r0 in range(t - 1 - k, T, _NOISE_BLOCK):
-                        failure = fill_metrics(record, r0, min(_NOISE_BLOCK, T - r0),
-                                               inst, f_star, ref)
-                        if failure:
-                            break
                     break
-                if not minibatch:
-                    G = exact(x)
-                if k == _NOISE_BLOCK - 1 or t == T:
-                    failure = fill_metrics(record, t - 1 - k, k + 1, inst, f_star, ref)
-                    if failure:
-                        break
     except Exception as exc:
         # step t raised: a non-finite metric of an earlier step came first
-        k = (t - 1) % _NOISE_BLOCK
-        failure = fill_metrics(record, t - 1 - k, k, inst, f_star, ref)
+        failure = fill_metrics(record, t - 1, inst)
         if failure is None:
             if not isinstance(exc, NumericFailure):
                 raise
             failure = f"{exc} at iteration {t}", exc.column, t
+    else:
+        failure = fill_metrics(record, T, inst)
     if failure:
         message, column, t = failure
         raise NumericFailure(message, iteration=t, column=column,

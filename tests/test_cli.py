@@ -863,6 +863,21 @@ class TestExitCodes:
         assert main(["sweep", sweepfile, "--out", sweepfile]) == EXIT_CONFIG
         assert sweepfile in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "estimate-kappa"])
+    def test_a_size_too_large_to_allocate_exits_config(self, tmp_path, capsys, command):
+        # 10^15 rows or coordinates exceed the user address space, so NumPy
+        # refuses the allocation without touching memory
+        huge = "1000000000000000"
+        if command == "estimate-kappa":
+            argv = [command, "--rule", "average", "--n", "3", "--b", "0", "--dim", huge]
+        else:
+            key = "sweep.T" if command == "sweep" else "run.T"
+            cfg = _write(tmp_path / "c.cfg", f"{key} = {huge}\n")
+            argv = [command, cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+
     def test_config_error_exit(self, tmp_path, capsys):
         cfg = _write(tmp_path / "c.cfg", "aggregator.b = 1\n")
         assert main(["run", cfg]) == EXIT_CONFIG

@@ -1,12 +1,12 @@
 """perfbench's workloads, replayed against the program.
 
-The geometric-median groups of the adversarial_quadratic mix and every group
-of the softmax_minibatch mix must give, for every pool seed, the iterate
-history whose SHA-256 perfbench/digests.json records, so a change that moves
-one bit of such a run fails here as it would fail the benchmark's
-correctness gate. Every config the run mixes build must load without a
-warning. perfbench/workloads.py and digests.json are loaded from perfbench/
-(as test_tracer_sites.py loads them) and never written.
+Every group of the adversarial_quadratic and softmax_minibatch mixes must
+give, for every pool seed, the iterate history whose SHA-256
+perfbench/digests.json records, so a change that moves one bit of such a
+run fails here as it would fail the benchmark's correctness gate. Every
+config the run mixes build must load without a warning.
+perfbench/workloads.py and digests.json are loaded from perfbench/ (as
+test_tracer_sites.py loads them) and never written.
 """
 
 import pytest
@@ -15,8 +15,8 @@ import robustsgd.trainer as trainer
 from robustsgd.configfile import materialize, parse_config_text, resolve
 from test_tracer_sites import workloads
 
-REPLAYED = ([(workloads.ADVERSARIAL, label) for label in ("gm+alie", "gm+sign_flip")]
-            + [(workloads.SOFTMAX, g[0]) for g in workloads.SOFTMAX.groups])
+REPLAYED = [(mix, g[0]) for mix in (workloads.ADVERSARIAL, workloads.SOFTMAX)
+            for g in mix.groups]
 
 
 @pytest.mark.parametrize("mix, label", REPLAYED,

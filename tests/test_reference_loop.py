@@ -255,7 +255,7 @@ def _minibatch_config(attack, T, seed=9):
 
 
 def test_minibatch_run_evaluates_the_honest_gradients_per_block_in_chunks():
-    # T = 1100: one full block of 1024 steps, then 76 steps, so the metric
+    # T = 1100: one full block of 1024 rows, then 76 rows, so the metric
     # pass stacks chunks of 64 iterates and a last partial one of 12; no
     # step evaluates an exact gradient
     cfg = _minibatch_config("label_flip", T=1100)
@@ -267,13 +267,38 @@ def test_minibatch_run_evaluates_the_honest_gradients_per_block_in_chunks():
     assert_matches_reference(cfg)
 
 
+@pytest.mark.parametrize("attack, oracle", [("alie", "honest_grads"), ("sign_flip", "grads")])
+def test_a_step_evaluates_the_exact_gradients_at_its_own_iterate(attack, oracle):
+    # T = 1100 spans two noise blocks, and the noise keeps the run from a
+    # repeat exit: the oracle is called at a single point once per step, at
+    # x^{t-1}, and the metrics pass (honest_grads on stacks) runs once
+    inst = with_noise(build_random_quadratic_family(n=6, d=2, rng=RngStream(5, 0, "r"), b=1),
+                      NoiseModel("gaussian", sigma=0.5))
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="cwm", n=6, b=1),
+                    attack=AttackSpec(kind=attack), schedule=ScheduleSpec(gamma0=0.05),
+                    T=1100, x0=DenseVector([1.0, -1.0]), seed=3)
+    original = getattr(ProblemInstance, oracle)
+    points = []
+
+    def counting(self, x):
+        points.append(np.ndim(x))
+        return original(self, x)
+
+    with mock.patch.object(ProblemInstance, oracle, counting), \
+            mock.patch.object(trainer, "fill_metrics", wraps=trainer.fill_metrics) as metrics:
+        run(cfg)
+    assert points.count(1) == cfg.T
+    assert metrics.call_count == 1
+
+
 @pytest.mark.parametrize("exc, text", [
     (NumericFailure("boom"), "boom at iteration 17$"),
     (RuntimeError("boom"), "boom$"),
 ])
 def test_a_minibatch_run_failing_at_the_first_step_of_a_block_calls_no_oracle(exc, text):
     # blocks of 16: step 17 raises before anything of its block is recorded,
-    # so the failure path fills an empty block and evaluates nothing
+    # so the one metric pass fills rows 1-16 and evaluates no iterate of
+    # step 17's block
     cfg = _minibatch_config("sign_flip", T=40)
     grads, shapes = _recording_task_grads()
     with mock.patch.object(trainer, "_NOISE_BLOCK", 16), \
@@ -286,7 +311,7 @@ def test_a_minibatch_run_failing_at_the_first_step_of_a_block_calls_no_oracle(ex
 
 def test_run_longer_than_a_metric_block_fills_every_column_as_the_reference():
     # x_F* differs from x*, so f_gap and dist_to_ref are both defined and
-    # read different points; the metric pass runs once per block
+    # read different points; the metric pass walks the rows a block at a time
     inst = build_synthetic_family(n=6, k=2, a=1.0, G=1.0, B=0.5, d=2)
     cfg = RunConfig(problem=inst,
                     aggregator=AggregatorSpec(rule="oracle_adversarial", n=6, kappa=0.2,
@@ -393,7 +418,8 @@ def test_earlier_metric_failure_wins_over_a_later_iterate_failure():
 
 
 def test_failure_in_the_last_partial_block():
-    # blocks of 16 over T = 37: rows 33-37 are filled after the loop ends
+    # blocks of 16 over T = 37: rows 33-37 are the metric pass's last,
+    # partial block
     cfg = _diverging(_line(1.0), T=37, x0=1e119)
     want = reference_failure(cfg)
     assert want == (36, "grad_norm_sq")

@@ -465,6 +465,26 @@ class TestRunRecord:
             assert float(row[5]) == rec.gamma[i]
         assert math.isnan(float(rows[1][4]))  # no tracking -> lyapunov column NaN
 
+    def test_a_long_run_holds_its_record_and_one_block_of_the_metric_pass(self):
+        # T = 200 000 rows, filled after the loop. A pass over all of them
+        # at once builds f_H's (T, h) temporaries (77.8 MB under tracemalloc);
+        # a pass a block at a time holds (_NOISE_BLOCK, h) ones. The run
+        # exits at a repeat of its state, whose cycle fill gathers the rows
+        # through at most two (T,) index vectors at d = 1
+        inst = build_random_quadratic_family(n=20, d=1, rng=RngStream(0, 0, "r"))
+        T, h = 200_000, inst.pop.h
+        tracemalloc.start()
+        try:
+            rec = run(_cfg(inst, T=T, sched=ScheduleSpec(gamma0=0.01)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sum(getattr(rec, c).nbytes for c in (
+            "t", "grad_norm_sq", "f_gap", "dist_to_ref", "lyapunov", "gamma", "beta", "xs"))
+        repeat_fill = 2 * T * 8
+        block = 5 * trainer._NOISE_BLOCK * h * 8
+        assert peak < record + repeat_fill + block + 2**20
+
 
 # ---- validation and failure modes -------------------------------------------
 
