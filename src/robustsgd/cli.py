@@ -22,14 +22,18 @@ program and propagates.
 An --out path that cannot be made a directory (an existing file, or a path
 under one) exits 2 with a message naming the path. So does a command whose
 arrays cannot be allocated (a run.T, sweep.T or --dim too large for memory),
-with NumPy's one-line MemoryError message.
+with NumPy's one-line MemoryError message. A `run` or `sweep` that exits 2
+removes the --out directory it made, so no directory is left holding only
+the resolved configuration; an --out that already existed is kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -52,10 +56,26 @@ def _default_out(prefix: str) -> str:
     return f"runs/{prefix}-{time.strftime('%Y%m%d-%H%M%S')}"
 
 
-def _ensure_dir(path: str) -> Path:
+# what main reports as a configuration error (exit 2): besides the library's
+# own, e.g. an --out path that is a file or lies under one, or a T or --dim
+# too large to allocate
+_CONFIG_ERRORS = (ConfigurationError, DataError, OSError, MemoryError)
+
+
+@contextlib.contextmanager
+def _out_dir(path: str):
+    """path as a directory, made with its missing parents. A configuration
+    error inside the block removes the directories made here, so it leaves
+    none behind; a directory that already existed stays as it is."""
     p = Path(path)
+    made = next((a for a in reversed((p, *p.parents)) if not a.exists()), None)
     p.mkdir(parents=True, exist_ok=True)
-    return p
+    try:
+        yield p
+    except _CONFIG_ERRORS:
+        if made is not None:
+            shutil.rmtree(made)
+        raise
 
 
 def _json_safe(obj):
@@ -83,47 +103,47 @@ def cmd_run(args) -> int:
             "config key 'run.replicates': robustsgd run executes one replicate; "
             "replicates are averaged by sweeps only"
         )
-    out = _ensure_dir(args.out or _default_out("run"))
-    for w in loaded.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    (out / "resolved.cfg").write_text(render_config(loaded.kv))
+    with _out_dir(args.out or _default_out("run")) as out:
+        for w in loaded.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        (out / "resolved.cfg").write_text(render_config(loaded.kv))
 
-    try:
-        record = run(loaded.config)
-    except NumericFailure as exc:
-        # leave the rows before the failure and say where it happened
-        exc.record.to_csv(out / "trace.csv")
-        _write_json(out / "summary.json", {"status": "diverged", "iteration": exc.iteration,
-                                           "column": exc.column, "error": str(exc)})
-        raise
-    record.to_csv(out / "trace.csv")
-    if args.emit_plot_data:
-        lines = ["t," + ",".join(f"x{j}" for j in range(record.xs.shape[1]))]
-        for t, x in enumerate(record.xs):
-            lines.append(f"{t}," + ",".join(f"{v:.17g}" for v in x))
-        (out / "plot_data.csv").write_text("\n".join(lines) + "\n")
-    summary = _write_json(out / "summary.json", {**record.summary(), "status": "ok"})
-    print(f"run artifacts in {out}")
-    print(summary)
-    return EXIT_OK
+        try:
+            record = run(loaded.config)
+        except NumericFailure as exc:
+            # leave the rows before the failure and say where it happened
+            exc.record.to_csv(out / "trace.csv")
+            _write_json(out / "summary.json", {"status": "diverged", "iteration": exc.iteration,
+                                               "column": exc.column, "error": str(exc)})
+            raise
+        record.to_csv(out / "trace.csv")
+        if args.emit_plot_data:
+            lines = ["t," + ",".join(f"x{j}" for j in range(record.xs.shape[1]))]
+            for t, x in enumerate(record.xs):
+                lines.append(f"{t}," + ",".join(f"{v:.17g}" for v in x))
+            (out / "plot_data.csv").write_text("\n".join(lines) + "\n")
+        summary = _write_json(out / "summary.json", {**record.summary(), "status": "ok"})
+        print(f"run artifacts in {out}")
+        print(summary)
+        return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.sweepfile)
-    out = _ensure_dir(args.out or _default_out("sweep"))
-    (out / "resolved_sweep.cfg").write_text(render_config(spec.resolved_kv(), sweep=True))
-    result = run_sweep(spec)
-    for w in dict.fromkeys(w for c in result.cells for w in c.warnings):
-        print(f"warning: {w}", file=sys.stderr)
-    result.cells_csv(out / "cells.csv")
-    result.best_csv(out / "best.csv")
-    bad = [c for c in result.cells if c.status != "ok"]
-    diverged = sum(c.status == "diverged" for c in bad)
-    print(f"sweep: {len(result.cells)} cells, {len(bad) - diverged} failed, "
-          f"{diverged} diverged; artifacts in {out}")
-    for c in bad:
-        print(f"  cell {c.index} {c.status}: {c.error}", file=sys.stderr)
-    return EXIT_OK
+    with _out_dir(args.out or _default_out("sweep")) as out:
+        (out / "resolved_sweep.cfg").write_text(render_config(spec.resolved_kv(), sweep=True))
+        result = run_sweep(spec)
+        for w in dict.fromkeys(w for c in result.cells for w in c.warnings):
+            print(f"warning: {w}", file=sys.stderr)
+        result.cells_csv(out / "cells.csv")
+        result.best_csv(out / "best.csv")
+        bad = [c for c in result.cells if c.status != "ok"]
+        diverged = sum(c.status == "diverged" for c in bad)
+        print(f"sweep: {len(result.cells)} cells, {len(bad) - diverged} failed, "
+              f"{diverged} diverged; artifacts in {out}")
+        for c in bad:
+            print(f"  cell {c.index} {c.status}: {c.error}", file=sys.stderr)
+        return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -210,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, DataError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericFailure as exc:
@@ -219,11 +239,6 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    # e.g. an --out path that is a file or lies under one, or a T or --dim
-    # too large to allocate
-    except (OSError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

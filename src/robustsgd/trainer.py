@@ -20,16 +20,15 @@ pass. DenseVector appears only at the API boundary (x0, RunRecord.final_x).
 A step computes only what the algorithm needs: the gradients at its own
 iterate x^{t-1}, the attack, the aggregate and the step. The metric columns
 (grad_norm_sq, f_gap, dist_to_ref) are filled after the loop by one
-vectorised pass (fill_metrics) over the finished iterates, a block of
-_NOISE_BLOCK rows at a time, bitwise what a per-step evaluation gives. The
-steps keep no honest gradient: the pass takes them from
-ProblemInstance.honest_grads at a block's iterates, one stacked call per
-chunk of them.
+vectorised pass (fill_metrics) over the finished iterates, _METRICS_CHUNK
+rows at a time, bitwise what a per-step evaluation gives. The steps keep no
+honest gradient: the pass takes a chunk's from one stacked call of
+ProblemInstance.honest_grads at its iterates.
 
 A run without noise whose gamma and beta do not change with t (constant or
 invsqrt steps) is a fixed map of its state (x, m), so it stops stepping at
-the first exact repeat of that state within the last _REPEAT_WINDOW steps,
-confirmed on x and m both, and copies the cycle into the rest of the
+the first step whose whole state equals, byte for byte, one of the
+_REPEAT_WINDOW states before it, and copies the cycle into the rest of the
 iterates, bitwise what stepping on gives.
 """
 
@@ -321,52 +320,28 @@ def _byzantine_honest_style(
 _NOISE_BLOCK = 1024
 
 
-# Recent iterates among which a run whose step map does not change with t
+# Recent states among which a run whose step map does not change with t
 # looks for an exact repeat of its state (x, m): the deterministic runs of the
 # closed-form checks settle on cycles of period 1, 2 or 4.
 _REPEAT_WINDOW = 16
 
 
-class _RepeatWatch:
-    """Finds the first step whose state (x, m) equals, byte for byte, that
-    of a step p <= _REPEAT_WINDOW before it: a hit of x^t at lag p keeps
-    m^t's bytes until step t + p confirms both (a later candidate due at the
-    same step replaces an earlier one)."""
-
-    def __init__(self):
-        self.recent = deque(maxlen=_REPEAT_WINDOW)  # iterate bytes, newest first
-        self.pending = {}  # step to confirm at -> (p, iterate bytes, momentum bytes)
-
-    def period(self, t: int, x: np.ndarray, m: np.ndarray) -> int:
-        """p if (x^t, m^t) = (x^{t-p}, m^{t-p}) was confirmed at this step, else 0."""
-        key = x.tobytes()
-        due = self.pending.pop(t, None)
-        if due is not None and due[1] == key and due[2] == m.tobytes():
-            return due[0]
-        if key in self.recent:
-            p = self.recent.index(key) + 1
-            self.pending[t + p] = (p, key, m.tobytes())
-        self.recent.appendleft(key)
-        return 0
-
-
-# Iterates per honest_grads call in a block's metrics pass: the pass holds a
-# (chunk, h, d) gradient stack and, for a classification task, the softmax
-# intermediates of chunk points, not a whole block's.
+# Rows per step of the metrics pass: it holds a (chunk, h, d) gradient stack
+# and, for a classification task, the softmax intermediates of chunk points.
 _METRICS_CHUNK = 64
 
 
 def fill_metrics(record: RunRecord, k: int, inst: ProblemInstance) -> Optional[tuple]:
     """Fill rows 0 .. k-1 of the record's defined metric columns from its
-    iterates x^1 .. x^k, a _NOISE_BLOCK of rows at a time, whose honest
-    exact gradients come from inst.honest_grads on at most _METRICS_CHUNK
-    iterates per call (no call for k = 0). f_gap reads f* = f_H(x*) and
-    dist_to_ref x_F*, else x*; a column whose point inst.analytic lacks
-    stays NaN, as do the other columns.
+    iterates x^1 .. x^k, _METRICS_CHUNK rows at a time, whose honest exact
+    gradients come from one inst.honest_grads call per chunk (no call for
+    k = 0). f_gap reads f* = f_H(x*) and dist_to_ref x_F*, else x*; a
+    column whose point inst.analytic lacks stays NaN, as do the other
+    columns.
 
     Returns ("non-finite <column> at iteration <t>", column, t) for the
     first non-finite value, in row order and then in column order, leaving
-    the later blocks unfilled, or None.
+    the later chunks unfilled, or None.
     Squared norms take np.vecdot, which runs np.dot's inner loop row by row,
     so each value is bitwise a per-step float(np.dot(r, r)); @, einsum and
     (r*r).sum round differently."""
@@ -374,11 +349,9 @@ def fill_metrics(record: RunRecord, k: int, inst: ProblemInstance) -> Optional[t
     ref = a.x_star if a.x_F_star is None else a.x_F_star
     with np.errstate(over="ignore", invalid="ignore"):
         f_star = None if a.x_star is None else inst.f_H(a.x_star)
-        for r0 in range(0, k, _NOISE_BLOCK):
-            X = record.xs[r0 + 1:min(r0 + _NOISE_BLOCK, k) + 1]
-            gH = np.empty_like(X)
-            for i in range(0, len(X), _METRICS_CHUNK):
-                gH[i:i + _METRICS_CHUNK] = _row_mean(inst.honest_grads(X[i:i + _METRICS_CHUNK]))
+        for r0 in range(0, k, _METRICS_CHUNK):
+            X = record.xs[r0 + 1:min(r0 + _METRICS_CHUNK, k) + 1]
+            gH = _row_mean(inst.honest_grads(X))
             values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
             if f_star is not None:
                 values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
@@ -423,27 +396,26 @@ def run(config: RunConfig) -> RunRecord:
 
     A step computes no metric. Once the loop ends, one vectorised pass
     (fill_metrics) over the finished iterates fills grad_norm_sq, f_gap and
-    dist_to_ref, a block of _NOISE_BLOCK rows at a time, bitwise what a
-    per-step evaluation gives, from one honest_grads call per chunk of a
-    block's iterates. The first non-finite value raises NumericFailure
-    naming the iteration and the column, as a per-step check would: the
-    iterate (checked every step) before the columns, the columns in that
-    order, and a non-finite metric of an earlier step before any error a
-    later step raises. So a run whose metric overflows while its iterate
-    stays finite steps on until its iterate fails, a step raises or T is
-    reached, and then reports that earliest metric failure. The failure
-    carries that iteration, the column and the record of the steps before
-    it. The lyapunov column stays NaN; track_lyapunov fills it from the
-    record.
+    dist_to_ref, _METRICS_CHUNK rows at a time, bitwise what a per-step
+    evaluation gives, from one honest_grads call per chunk. The first
+    non-finite value raises NumericFailure naming the iteration and the
+    column, as a per-step check would: the iterate (checked every step)
+    before the columns, the columns in that order, and a non-finite metric
+    of an earlier step before any error a later step raises. So a run whose
+    metric overflows while its iterate stays finite steps on until its
+    iterate fails, a step raises or T is reached, and then reports that
+    earliest metric failure. The failure carries that iteration, the column
+    and the record of the steps before it. The lyapunov column stays NaN;
+    track_lyapunov fills it from the record.
 
     A run whose step map does not change with t (deterministic noise and a
-    constant or invsqrt stepsize, under any momentum kind) stops stepping
-    once (x, m) repeats, byte for byte, within _REPEAT_WINDOW steps: an
-    iterate found among the window's iterates at lag p keeps its momenta,
-    and p steps later x and m must both equal what was kept. The loop then
-    copies that cycle into the remaining iterates and the constants into
-    gamma and beta, and ends, so the metrics pass reads what stepping all T
-    records: every column, and any NumericFailure, is bitwise the same.
+    constant or invsqrt stepsize, under any momentum kind) stops stepping at
+    the first step t whose whole state (x^t, m^t) equals, byte for byte,
+    that of a step t - p among the last _REPEAT_WINDOW: every later step
+    continues the cycle of period p. The loop then copies that cycle into
+    the remaining iterates and the constants into gamma and beta, and ends,
+    so the metrics pass reads what stepping all T records: every column,
+    and any NumericFailure, is bitwise the same.
     """
     _validate(config)
     inst: ProblemInstance = config.problem
@@ -485,10 +457,9 @@ def run(config: RunConfig) -> RunRecord:
     xs[0] = config.x0.values
     x = xs[0]
     # with gamma and beta fixed and no noise, a step is a pure function of (x, m)
-    watch = None
+    recent = None
     if noise.deterministic and sched.stepsize in ("constant", "invsqrt"):
-        watch = _RepeatWatch()
-        watch.period(0, x, m)
+        recent = deque([x.tobytes() + m.tobytes()], maxlen=_REPEAT_WINDOW)  # newest first
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -529,12 +500,19 @@ def run(config: RunConfig) -> RunRecord:
                 betas[t - 1] = beta
                 if not np.logical_and.reduce(np.isfinite(x)):
                     raise NumericFailure("non-finite iterate", column="iterate")
-                if watch is not None and (p := watch.period(t, x, m)):
-                    # the remaining steps repeat the last p, and so do their rows
-                    xs[t + 1:] = xs[t + 1 - p + np.arange(T - t) % p]
-                    gammas[t:] = gamma
-                    betas[t:] = beta
-                    break
+                if recent is not None:
+                    key = x.tobytes() + m.tobytes()
+                    if key in recent:
+                        # (x^t, m^t) = (x^{t-p}, m^{t-p}): the remaining
+                        # steps repeat the last p, and so do their rows
+                        p = recent.index(key) + 1
+                        q, r = divmod(T - t, p)
+                        xs[t + 1:t + 1 + q * p].reshape(q, p, d)[:] = xs[t + 1 - p:t + 1]
+                        xs[t + 1 + q * p:] = xs[t + 1 - p:t + 1 - p + r]
+                        gammas[t:] = gamma
+                        betas[t:] = beta
+                        break
+                    recent.appendleft(key)
     except Exception as exc:
         # step t raised: a non-finite metric of an earlier step came first
         failure = fill_metrics(record, t - 1, inst)

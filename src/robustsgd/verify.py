@@ -121,27 +121,28 @@ def noise_floor_exact_moments(
         (mu * (1.0 + sk * B), -sk * sigma),
         (mu * (1.0 - sk * B), -sk * sigma),
     )
-    # m[k] = E[x^k], k = 0..4
-    m = np.array([1.0, x0, x0**2, x0**3, x0**4])
+    # m[k] = E[x^k], k = 0..4, in Python floats
+    m = [float(x0) ** k for k in range(5)]
     binom = [[math.comb(k, j) for j in range(k + 1)] for k in range(5)]
     for t in range(1, T):  # T-1 steps produce x^{T-1}
         gamma = schedules(t, schedule, T)[0]
-        new = np.zeros(5)
+        new = [0.0] * 5
         for a, b in cases:
-            A = 1.0 - gamma * a
-            Bb = -gamma * b
+            # the powers A^j and (-gamma*b)^j, j = 0..4, of this case's step
+            A = [(1.0 - gamma * a) ** j for j in range(5)]
+            Bb = [(-gamma * b) ** j for j in range(5)]
             for k in range(5):
                 acc = 0.0
                 for j in range(k + 1):
-                    acc += binom[k][j] * (A**j) * (Bb ** (k - j)) * m[j]
+                    acc += binom[k][j] * A[j] * Bb[k - j] * m[j]
                 new[k] += 0.25 * acc
         m = new
     return {
-        "mean": float(m[1]),
-        "second": float(m[2]),
-        "third": float(m[3]),
-        "fourth": float(m[4]),
-        "var_of_sq": float(m[4] - m[2] ** 2),
+        "mean": m[1],
+        "second": m[2],
+        "third": m[3],
+        "fourth": m[4],
+        "var_of_sq": m[4] - m[2] ** 2,
     }
 
 

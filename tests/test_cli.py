@@ -878,6 +878,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_size_too_large_to_allocate_leaves_no_out(self, tmp_path, capsys, command):
+        # the command made --out and its missing parent, and removes both
+        key = "sweep.T" if command == "sweep" else "run.T"
+        cfg = _write(tmp_path / "c.cfg", f"{key} = 1000000000000000\n")
+        out = tmp_path / "new" / "out"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_config_error_keeps_an_out_that_existed(self, tmp_path, capsys, command):
+        key = "sweep.T" if command == "sweep" else "run.T"
+        cfg = _write(tmp_path / "c.cfg", f"{key} = 1000000000000000\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("earlier\n")
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert (out / "kept.txt").read_text() == "earlier\n"
+
     def test_config_error_exit(self, tmp_path, capsys):
         cfg = _write(tmp_path / "c.cfg", "aggregator.b = 1\n")
         assert main(["run", cfg]) == EXIT_CONFIG

@@ -255,9 +255,8 @@ def _minibatch_config(attack, T, seed=9):
 
 
 def test_minibatch_run_evaluates_the_honest_gradients_per_block_in_chunks():
-    # T = 1100: one full block of 1024 rows, then 76 rows, so the metric
-    # pass stacks chunks of 64 iterates and a last partial one of 12; no
-    # step evaluates an exact gradient
+    # T = 1100: the metric pass stacks 17 chunks of 64 iterates and a last
+    # partial one of 12; no step evaluates an exact gradient
     cfg = _minibatch_config("label_flip", T=1100)
     grads, shapes = _recording_task_grads()
     with mock.patch.object(SyntheticClassificationTask, "grads", grads):
@@ -311,7 +310,7 @@ def test_a_minibatch_run_failing_at_the_first_step_of_a_block_calls_no_oracle(ex
 
 def test_run_longer_than_a_metric_block_fills_every_column_as_the_reference():
     # x_F* differs from x*, so f_gap and dist_to_ref are both defined and
-    # read different points; the metric pass walks the rows a block at a time
+    # read different points; the metric pass walks the rows a chunk at a time
     inst = build_synthetic_family(n=6, k=2, a=1.0, G=1.0, B=0.5, d=2)
     cfg = RunConfig(problem=inst,
                     aggregator=AggregatorSpec(rule="oracle_adversarial", n=6, kappa=0.2,
@@ -418,8 +417,8 @@ def test_earlier_metric_failure_wins_over_a_later_iterate_failure():
 
 
 def test_failure_in_the_last_partial_block():
-    # blocks of 16 over T = 37: rows 33-37 are the metric pass's last,
-    # partial block
+    # noise blocks of 16 over T = 37: rows 33-37 are the last, partial
+    # block, and the metric pass takes rows 1-37 in one chunk
     cfg = _diverging(_line(1.0), T=37, x0=1e119)
     want = reference_failure(cfg)
     assert want == (36, "grad_norm_sq")

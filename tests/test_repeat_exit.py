@@ -107,6 +107,34 @@ def test_an_exiting_run_matches_the_full_step_reference(case, monkeypatch):
         assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
 
 
+def _first_state_repeat(cfg, xs, betas) -> int:
+    """The first t whose state (x^t, m^t) equals, byte for byte, one of the
+    _REPEAT_WINDOW states before it, or 0. m replays from the iterates as
+    the loop updates it, from every worker's exact gradient (attack none)."""
+    m = np.zeros((cfg.problem.pop.n, cfg.problem.dim))
+    states = [xs[0].tobytes() + m.tobytes()]
+    for t in range(1, len(xs)):
+        beta = float(betas[t - 1])
+        m *= beta
+        m += (1.0 - beta) * cfg.problem.grads(xs[t - 1])
+        key = xs[t].tobytes() + m.tobytes()
+        if key in states[-trainer._REPEAT_WINDOW:]:
+            return t
+        states.append(key)
+    return 0
+
+
+@pytest.mark.parametrize("case", ["period1_cell", "period2_floor", "period4_cell",
+                                  "tied_average"])
+def test_a_run_exits_at_the_first_repeat_of_its_state(case, monkeypatch):
+    cfg = CASES[case]()
+    want = reference_run(cfg)
+    t = _first_state_repeat(cfg, want.xs, want.beta)
+    assert 0 < t < cfg.T
+    _, calls = run_counting(monkeypatch, cfg)
+    assert _steps(cfg, calls) == t
+
+
 @pytest.mark.parametrize("case", ["tied_average", "constant_momentum_alie_gm"])
 def test_an_iterate_repeating_before_its_momentum_keeps_stepping(case, monkeypatch):
     cfg = CASES[case]()

@@ -468,9 +468,9 @@ class TestRunRecord:
     def test_a_long_run_holds_its_record_and_one_block_of_the_metric_pass(self):
         # T = 200 000 rows, filled after the loop. A pass over all of them
         # at once builds f_H's (T, h) temporaries (77.8 MB under tracemalloc);
-        # a pass a block at a time holds (_NOISE_BLOCK, h) ones. The run
-        # exits at a repeat of its state, whose cycle fill gathers the rows
-        # through at most two (T,) index vectors at d = 1
+        # a pass a chunk at a time holds fewer than the (_NOISE_BLOCK, h)
+        # ones allowed here. The run exits at a repeat of its state; the
+        # next test bounds it tighter
         inst = build_random_quadratic_family(n=20, d=1, rng=RngStream(0, 0, "r"))
         T, h = 200_000, inst.pop.h
         tracemalloc.start()
@@ -484,6 +484,27 @@ class TestRunRecord:
         repeat_fill = 2 * T * 8
         block = 5 * trainer._NOISE_BLOCK * h * 8
         assert peak < record + repeat_fill + block + 2**20
+
+    def test_an_exiting_run_holds_its_record_and_one_chunk_of_the_metric_pass(self):
+        # the run above, which exits at step 2394: the cycle is copied into
+        # the record's own rows, and the metric pass holds a few (chunk, h)
+        # arrays at d = 1 (honest_grads' product and sum, its row mean,
+        # f_H's terms). An index vector per remaining row peaked 3.05 MiB
+        # over the 12.2 MiB record under tracemalloc
+        inst = build_random_quadratic_family(n=20, d=1, rng=RngStream(0, 0, "r"))
+        T, h = 200_000, inst.pop.h
+        tracemalloc.start()
+        try:
+            rec = run(_cfg(inst, T=T, sched=ScheduleSpec(gamma0=0.01)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sum(getattr(rec, c).nbytes for c in (
+            "t", "grad_norm_sq", "f_gap", "dist_to_ref", "lyapunov", "gamma", "beta", "xs"))
+        chunk = 4 * trainer._METRICS_CHUNK * h * 8
+        # the loop's last _REPEAT_WINDOW states and the interpreter's objects
+        loop = 2**16
+        assert peak < record + chunk + loop
 
 
 # ---- validation and failure modes -------------------------------------------
@@ -882,6 +903,21 @@ class TestNoiseFloorStatistics:
                 noise_floor_exact_moments(1.0, 0.5, 1.0, kappa, sched, T)["second"]
             )
         assert seconds[0] > seconds[1] > seconds[2] > x_F_sq
+
+    @pytest.mark.parametrize("T, want", [
+        # check_noise's fast suite
+        (2000, ("0x1.5f9d652ccc3e1p-3", "0x1.f541fa93efc40p-6",
+                "0x1.715111203f936p-8", "0x1.185d225f793cep-10")),
+        # and its full suite
+        (5000, ("0x1.5f9d652ccc3dap-3", "0x1.ea7ca5a23e616p-6",
+                "0x1.5b30f4ab1ba4ap-8", "0x1.f27f0958eaf3cp-11")),
+    ])
+    def test_exact_moments_of_the_verify_horizons_are_pinned(self, T, want):
+        kappa = 0.1
+        inst = build_noise_lower_bound(mu=1.0, B=0.5, sigma=1.0, kappa=kappa)
+        sched = pl_schedule_for_plain(inst, kappa=kappa)
+        mom = noise_floor_exact_moments(1.0, 0.5, 1.0, kappa, sched, T)
+        assert tuple(mom[k].hex() for k in ("mean", "second", "third", "fourth")) == want
 
     def test_requires_the_noise_construction(self):
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
