@@ -38,6 +38,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .aggregators import RULES, AggregatorSpec, estimate_kappa
 from .configfile import load_run_config, render_config
 from .core import ConfigurationError, ContractViolation, DataError, NumericFailure, RngStream
@@ -118,10 +120,11 @@ def cmd_run(args) -> int:
             raise
         record.to_csv(out / "trace.csv")
         if args.emit_plot_data:
-            lines = ["t," + ",".join(f"x{j}" for j in range(record.xs.shape[1]))]
-            for t, x in enumerate(record.xs):
-                lines.append(f"{t}," + ",".join(f"{v:.17g}" for v in x))
-            (out / "plot_data.csv").write_text("\n".join(lines) + "\n")
+            xs = record.xs
+            d = xs.shape[1]
+            np.savetxt(out / "plot_data.csv", np.column_stack((np.arange(len(xs)), xs)),
+                       fmt=["%d"] + ["%.17g"] * d, delimiter=",",
+                       header="t," + ",".join(f"x{j}" for j in range(d)), comments="")
         summary = _write_json(out / "summary.json", {**record.summary(), "status": "ok"})
         print(f"run artifacts in {out}")
         print(summary)

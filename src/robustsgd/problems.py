@@ -396,9 +396,13 @@ class ProblemInstance:
         out = (np.cumsum(vals, axis=-1)[..., -1] + 0.0) / A.shape[0]
         return float(out) if values.ndim == 1 else out
 
-    def grad_f_H(self, x: DenseVector) -> DenseVector:
-        """Honest average gradient at x: the _row_mean of honest_grads(x)."""
-        return DenseVector(_row_mean(self.honest_grads(x.values)))
+    def grad_f_H(self, x: Union[DenseVector, np.ndarray]):
+        """Honest average gradient, the _row_mean of honest_grads: a
+        DenseVector at a DenseVector, (d,) at a (d,) array, and (K, d) at a
+        (K, d) stack of points, row k bitwise the value at x[k]."""
+        if isinstance(x, DenseVector):
+            return DenseVector(_row_mean(self.honest_grads(x.values)))
+        return _row_mean(self.honest_grads(x))
 
 
 def _row_mean(rows: np.ndarray) -> np.ndarray:

@@ -215,21 +215,18 @@ def cell_seed(master_seed: int, index: int) -> int:
 
 
 def _metric_of(config: RunConfig, metric: str) -> float:
+    if metric == "final_f_gap" and config.problem.analytic.x_star is None:
+        raise ConfigurationError(
+            "final_f_gap is undefined on this instance (no known minimizer); "
+            "use the floor_estimate metric"
+        )
     reps = config.replicates
     vals = []
     for r in range(reps):
         cfg = config if reps == 1 else dc_replace(config, seed=cell_seed(config.seed, r))
         record = run(cfg)
-        if metric == "floor_estimate":
-            vals.append(record.floor_estimate())
-        else:
-            v = float(record.f_gap[-1])
-            if not math.isfinite(v):
-                raise ConfigurationError(
-                    "final_f_gap is undefined on this instance (no known minimizer); "
-                    "use the floor_estimate metric"
-                )
-            vals.append(v)
+        vals.append(record.floor_estimate() if metric == "floor_estimate"
+                    else float(record.f_gap[-1]))
     return float(np.mean(vals))
 
 

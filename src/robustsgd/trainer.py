@@ -22,8 +22,8 @@ iterate x^{t-1}, the attack, the aggregate and the step. The metric columns
 (grad_norm_sq, f_gap, dist_to_ref) are filled after the loop by one
 vectorised pass (fill_metrics) over the finished iterates, _METRICS_CHUNK
 rows at a time, bitwise what a per-step evaluation gives. The steps keep no
-honest gradient: the pass takes a chunk's from one stacked call of
-ProblemInstance.honest_grads at its iterates.
+honest gradient: the pass takes a chunk's grad f_H from one stacked call of
+ProblemInstance.grad_f_H at its iterates.
 
 A run without noise whose gamma and beta do not change with t (constant or
 invsqrt steps) is a fixed map of its state (x, m), so it stops stepping at
@@ -259,14 +259,9 @@ class RunRecord:
 
     def to_csv(self, path) -> None:
         cols = ("t", "grad_norm_sq", "f_gap", "dist_to_ref", "lyapunov", "gamma", "beta")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.T):
-                row = [str(int(self.t[i]))]
-                for arr in (self.grad_norm_sq, self.f_gap, self.dist_to_ref,
-                            self.lyapunov, self.gamma, self.beta):
-                    row.append(format(float(arr[i]), ".17g"))
-                fh.write(",".join(row) + "\n")
+        np.savetxt(path, np.column_stack([getattr(self, c) for c in cols]),
+                   fmt=["%d"] + ["%.17g"] * (len(cols) - 1), delimiter=",",
+                   header=",".join(cols), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +328,10 @@ _METRICS_CHUNK = 64
 
 def fill_metrics(record: RunRecord, k: int, inst: ProblemInstance) -> Optional[tuple]:
     """Fill rows 0 .. k-1 of the record's defined metric columns from its
-    iterates x^1 .. x^k, _METRICS_CHUNK rows at a time, whose honest exact
-    gradients come from one inst.honest_grads call per chunk (no call for
-    k = 0). f_gap reads f* = f_H(x*) and dist_to_ref x_F*, else x*; a
-    column whose point inst.analytic lacks stays NaN, as do the other
-    columns.
+    iterates x^1 .. x^k, _METRICS_CHUNK rows at a time, whose grad f_H
+    comes from one inst.grad_f_H call per chunk (no call for k = 0). f_gap
+    reads f* = f_H(x*) and dist_to_ref x_F*, else x*; a column whose point
+    inst.analytic lacks stays NaN, as do the other columns.
 
     Returns ("non-finite <column> at iteration <t>", column, t) for the
     first non-finite value, in row order and then in column order, leaving
@@ -351,7 +345,7 @@ def fill_metrics(record: RunRecord, k: int, inst: ProblemInstance) -> Optional[t
         f_star = None if a.x_star is None else inst.f_H(a.x_star)
         for r0 in range(0, k, _METRICS_CHUNK):
             X = record.xs[r0 + 1:min(r0 + _METRICS_CHUNK, k) + 1]
-            gH = _row_mean(inst.honest_grads(X))
+            gH = inst.grad_f_H(X)
             values = [("grad_norm_sq", record.grad_norm_sq, np.vecdot(gH, gH))]
             if f_star is not None:
                 values.append(("f_gap", record.f_gap, inst.f_H(X) - f_star))
@@ -397,7 +391,7 @@ def run(config: RunConfig) -> RunRecord:
     A step computes no metric. Once the loop ends, one vectorised pass
     (fill_metrics) over the finished iterates fills grad_norm_sq, f_gap and
     dist_to_ref, _METRICS_CHUNK rows at a time, bitwise what a per-step
-    evaluation gives, from one honest_grads call per chunk. The first
+    evaluation gives, from one grad_f_H call per chunk. The first
     non-finite value raises NumericFailure naming the iteration and the
     column, as a per-step check would: the iterate (checked every step)
     before the columns, the columns in that order, and a non-finite metric
@@ -562,7 +556,8 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
     deterministic (sigma = 0) with tied momentum, c_beta = 36: the honest
     momenta then replay exactly from honest_grads(record.xs) and
     record.beta, and the gap and ||grad f_H||^2 at x^{t-1} are the record's
-    own columns. The first non-finite V^t raises NumericFailure.
+    own columns. The first non-finite V^t raises NumericFailure naming its
+    iteration t and the column "lyapunov".
     """
     _check_trackable(config)
     inst: ProblemInstance = config.problem
@@ -593,7 +588,9 @@ def lyapunov_trace(config: RunConfig, record: RunRecord, kappa: float) -> Lyapun
         V = 2.0 * gaps + c1 * delta_sq + c2 * disp_prev
         bad = ~np.isfinite(V)
         if bad.any():
-            raise NumericFailure(f"non-finite lyapunov at iteration {int(np.argmax(bad)) + 1}")
+            t = int(np.argmax(bad)) + 1
+            raise NumericFailure(f"non-finite lyapunov at iteration {t}",
+                                 iteration=t, column="lyapunov")
         # rhs[t-1] bounds V^{t+1}, for t = 1 .. T-1
         gamma = record.gamma[:-1]
         rhs = (

@@ -219,7 +219,7 @@ def _lyapunov_v1(inst, x0, gap0, gamma) -> float:
     delta is -beta1 * grad f_H(x0) and the dispersion term vanishes."""
     L = inst.analytic.L
     beta1 = 1.0 - 36.0 * gamma * L
-    gH = inst.grad_f_H(x0).values
+    gH = inst.grad_f_H(x0)
     return 2.0 * gap0 + beta1**2 * float(np.dot(gH, gH)) / (8.0 * L)
 
 
@@ -235,7 +235,7 @@ def check_init_bound(suite):
             n=int(gen.integers(2, 9)), d=int(gen.integers(1, 5)), rng=rng.spawn(f"i{k}")
         )
         L = inst.analytic.L
-        x0 = DenseVector(gen.uniform(-3, 3, size=inst.dim))
+        x0 = gen.uniform(-3, 3, size=inst.dim)
         gap0 = inst.f_H(x0) - inst.f_H(inst.analytic.x_star)
         if gap0 < 1e-12:
             continue
@@ -258,9 +258,9 @@ def check_init_bound(suite):
                              momentum="tied", c_beta=36.0)
         agg = AggregatorSpec(rule="oracle_adversarial", n=inst.pop.n, b=0,
                              kappa=0.1, variant="variance_sign")
-        x0 = DenseVector(gen.uniform(-2, 2, size=inst.dim))
+        x0 = gen.uniform(-2, 2, size=inst.dim)
         cfg = RunConfig(problem=inst, aggregator=agg, attack=AttackSpec(),
-                        schedule=sched, T=3, x0=x0)
+                        schedule=sched, T=3, x0=DenseVector(x0))
         _, trace = track_lyapunov(cfg)
         gap0 = inst.f_H(x0) - inst.f_H(inst.analytic.x_star)
         worst = max(worst, abs(trace.V[0] - _lyapunov_v1(inst, x0, gap0, gamma)))
@@ -369,26 +369,23 @@ def check_robustness_props(suite):
         AggregatorSpec(rule="gm", n=6, b=2),
     ]
 
+    # each property stacks its 10 input sets: one aggregate call per rule
+    # and side, row k bitwise the call on set k alone
     yield "robust_zero_dispersion", "identical inputs are a fixed point of every rule"
-    worst = 0.0
-    for _ in range(10):
-        v = rng.normal(0, 5, size=3)
-        ups = [DenseVector(v) for _ in range(6)]
-        for spec in specs:
-            out = aggregate(spec, ups).values
-            worst = max(worst, float(np.max(np.abs(out - v))))
+    vs = rng.normal(0, 5, size=(10, 3))
+    ups = np.repeat(vs[:, None, :], 6, axis=1)
+    worst = max(float(np.max(np.abs(aggregate(spec, ups) - vs))) for spec in specs)
     yield 0.0, worst, 1e-12
 
     yield "robust_translation", "A(x_1+c, ..., x_n+c) = A(x_1, ..., x_n) + c"
-    worst = 0.0
-    for _ in range(10):
-        ups = [DenseVector(rng.normal(0, 2, size=3)) for _ in range(6)]
-        shift = rng.normal(0, 3, size=3)
-        shifted = [DenseVector(u.values + shift) for u in ups]
-        for spec in specs:
-            out = aggregate(spec, ups).values
-            moved = aggregate(spec, shifted).values
-            worst = max(worst, float(np.max(np.abs(moved - (out + shift)))))
+    draws = [(rng.normal(0, 2, size=(6, 3)), rng.normal(0, 3, size=3)) for _ in range(10)]
+    ups = np.stack([u for u, _ in draws])
+    shift = np.stack([c for _, c in draws])
+    worst = max(
+        float(np.max(np.abs(aggregate(spec, ups + shift[:, None, :])
+                            - (aggregate(spec, ups) + shift))))
+        for spec in specs
+    )
     yield 0.0, worst, 1e-9
 
     yield ("krum_bruteforce",
@@ -401,7 +398,6 @@ def check_robustness_props(suite):
             b = 0
         d = int(rng.integers(1, 4))
         pts = rng.normal(0, 2, size=(n, d))
-        ups = [DenseVector(p) for p in pts]
         scores = []
         for i in range(n):
             dists = sorted(
@@ -409,13 +405,13 @@ def check_robustness_props(suite):
             )
             scores.append(sum(dists[: n - b - 1]))
         chosen = int(np.argmin(scores))
-        out = aggregate(AggregatorSpec(rule="krum", n=n, b=b), ups).values
+        out = aggregate(AggregatorSpec(rule="krum", n=n, b=b), pts)
         worst = max(worst, float(np.max(np.abs(out - pts[chosen]))))
         q = int(rng.integers(1, n + 1))
         mspec = AggregatorSpec(rule="multi_krum", n=n, b=b, q=q)
         picked = np.argsort(scores, kind="stable")[:q]
         ref = pts[picked].mean(axis=0)
-        mout = aggregate(mspec, ups).values
+        mout = aggregate(mspec, pts)
         worst = max(worst, float(np.max(np.abs(mout - ref))))
     yield 0.0, worst, 1e-12
 
@@ -427,14 +423,13 @@ def check_robustness_props(suite):
         n = int(rng.integers(3, 10)) | 1
         pts = rng.normal(0, 3, size=n)
         spec = AggregatorSpec(rule="gm", n=n, b=0)
-        out = aggregate(spec, [DenseVector([p]) for p in pts]).values[0]
+        out = aggregate(spec, pts[:, None])[0]
         worst = max(worst, abs(out - float(np.median(pts))))
     yield 0.0, worst, 1e-6
 
     def ratio_error(spec, pts, ctx):
         """|ratio - kappa| of one aggregation, 0 at zero dispersion."""
-        ups = [DenseVector(p) for p in pts]
-        out = aggregate(spec, ups, honest_ids=list(range(len(pts))), context=ctx).values
+        out = aggregate(spec, pts, honest_ids=list(range(len(pts))), context=ctx)
         mean = pts.mean(axis=0)
         disp = float(((pts - mean) ** 2).sum(axis=1).mean())
         dev = float(np.sum((out - mean) ** 2))
@@ -450,17 +445,16 @@ def check_robustness_props(suite):
                           variant="variance_sign")
     for _ in range(20):
         pts = rng.normal(0, 2, size=(6, 2))
-        x = DenseVector(rng.normal(0, 1, size=2))
-        ctx = OracleContext(x=x, x_star=DenseVector(np.zeros(2)), instance=inst)
+        ctx = OracleContext(x=rng.normal(0, 1, size=2), x_star=np.zeros(2), instance=inst)
         worst = max(worst, ratio_error(spec, pts, ctx))
     # hetero_c1 on its construction
     hinst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5, kappa=0.2)
     hspec = AggregatorSpec(rule="oracle_adversarial", n=2, b=0, kappa=0.2,
                            variant="hetero_c1")
     for _ in range(20):
-        x = DenseVector(rng.normal(0, 2, size=1))
+        x = rng.normal(0, 2, size=1)
         ctx = OracleContext(x=x, x_star=hinst.analytic.x_star, instance=hinst)
-        worst = max(worst, ratio_error(hspec, hinst.grads(x.values), ctx))
+        worst = max(worst, ratio_error(hspec, hinst.grads(x), ctx))
     yield 0.0, worst, 1e-10
 
     yield ("kappa_hat_oracle",

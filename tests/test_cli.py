@@ -32,7 +32,7 @@ from robustsgd.sweep import (
     run_cell,
     run_sweep,
 )
-from robustsgd.trainer import run
+from robustsgd.trainer import RunRecord, run
 from test_tracer_sites import workloads  # perfbench/workloads.py, loaded from perfbench/
 
 
@@ -391,6 +391,32 @@ class TestRunCommand:
         assert len(rows) == 12  # header + T+1 iterates
         assert [float(v) for v in rows[1]] == [0.0, 0.5, 0.5]
 
+    def test_trace_and_plot_data_text_of_edge_values(self, tmp_path, monkeypatch):
+        # t as an integer, every other value with 17 significant digits: a
+        # signed zero, the smallest subnormal, the largest float, NaN and
+        # inf keep their exact text
+        big = np.finfo(np.float64).max
+        record = RunRecord(
+            t=np.array([1, 2]), grad_norm_sq=np.array([-0.0, 5e-324]),
+            f_gap=np.array([big, math.nan]), dist_to_ref=np.array([math.inf, 0.1]),
+            lyapunov=np.array([math.nan, -math.inf]), gamma=np.array([0.5, 1 / 3]),
+            beta=np.array([0.0, -2.5e-310]),
+            xs=np.array([[-0.0, 5e-324], [big, math.nan], [-math.inf, 0.1]]))
+        monkeypatch.setattr("robustsgd.cli.run", lambda config: record)
+        cfg = _write(tmp_path / "c.cfg", "problem.d = 2\nrun.T = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--emit-plot-data"]) == EXIT_OK
+        assert (out / "trace.csv").read_bytes() == (
+            b"t,grad_norm_sq,f_gap,dist_to_ref,lyapunov,gamma,beta\n"
+            b"1,-0,1.7976931348623157e+308,inf,nan,0.5,0\n"
+            b"2,4.9406564584124654e-324,nan,0.10000000000000001,-inf,"
+            b"0.33333333333333331,-2.5000000000000171e-310\n")
+        assert (out / "plot_data.csv").read_bytes() == (
+            b"t,x0,x1\n"
+            b"0,-0,4.9406564584124654e-324\n"
+            b"1,1.7976931348623157e+308,nan\n"
+            b"2,-inf,0.10000000000000001\n")
+
     def test_resolved_echo_reproduces_the_run(self, tmp_path):
         cfg = _write(tmp_path / "c.cfg", NOISY_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -636,6 +662,17 @@ class TestSweepCommand:
         assert cell.error == (
             "ConfigurationError: final_f_gap is undefined on this instance "
             "(no known minimizer); use the floor_estimate metric")
+
+    def test_final_f_gap_refuses_a_cell_without_a_minimizer_before_it_runs(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("robustsgd.sweep.run", lambda config: calls.append(config))
+        text = ("problem.kind = classification\nproblem.n = 3\n"
+                "problem.samples_per_class = 4\nrun.T = 5\n"
+                "sweep.metric = final_f_gap\n")
+        (cell,) = run_sweep(load_sweep(_write(tmp_path / "s.cfg", text))).cells
+        assert cell.status == "failed" and "no known minimizer" in cell.error
+        assert calls == []
 
     def test_momentum_tokens_reach_the_cell_schedule(self, tmp_path):
         # gamma0 * L <= 0.01 * 2.5 = 1/40 stays inside tied:20's bound 1/20

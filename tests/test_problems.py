@@ -530,6 +530,19 @@ class TestRowReads:
         got = dissimilarity_gap(inst, scale, 0.5, x)
         assert got.hex() == _old_dissimilarity_gap(inst, scale, 0.5, x).hex()
 
+    @given(st.sampled_from(["random", "hetero", "synthetic", "classification"]),
+           st.integers(0, 99))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_grad_f_H_of_an_array_and_a_stack_equals_the_point_call(self, kind, seed):
+        inst = _instance(kind, seed, 1.0)
+        X = np.random.default_rng(seed).normal(size=(3, inst.dim))
+        stacked = inst.grad_f_H(X)
+        assert stacked.shape == X.shape
+        for x, row in zip(X, stacked):
+            want = inst.grad_f_H(DenseVector(x))
+            assert isinstance(want, DenseVector)
+            assert inst.grad_f_H(x).tobytes() == row.tobytes() == want.values.tobytes()
+
     @given(st.sampled_from(["none", "gaussian", "bernoulli_pm", "minibatch"]),
            st.integers(0, 99))
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -143,3 +143,29 @@ def test_traced_alie_quadratic_run_counts_its_steps():
     assert tracer.missing == []
     assert tracer.steps == 5
     assert tracer.calls["attacks.alie"] == 5
+
+
+def test_traced_run_sees_the_metric_pass():
+    # fill_metrics takes grad f_H from one grad_f_H call per _METRICS_CHUNK rows
+    inst = build_random_quadratic_family(n=5, d=2, rng=RngStream(3, 0, "t"))
+    cfg = RunConfig(problem=inst, aggregator=AggregatorSpec(rule="average", n=5),
+                    attack=AttackSpec(), schedule=trainer.ScheduleSpec(gamma0=0.05),
+                    T=130, x0=DenseVector([1.0, -1.0]))
+    tracer = _traced(cfg)
+    assert trainer._METRICS_CHUNK == 64
+    assert tracer.calls["problems.grad_f_H"] == 3
+
+
+def test_each_robustness_property_is_one_stacked_call_per_rule(monkeypatch):
+    # the six rules see the zero-dispersion row's 10 input sets in one call
+    # each, and the translation row's in two (unshifted and shifted)
+    monkeypatch.setattr(verify, "CHECKS", (verify.check_robustness_props,))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verify.run_verification("fast")
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[2] for span in tracer.spans if span[3] == "aggregators.aggregate")
+    assert calls["check:robust_zero_dispersion"] == 6
+    assert calls["check:robust_translation"] == 12

@@ -465,28 +465,10 @@ class TestRunRecord:
             assert float(row[5]) == rec.gamma[i]
         assert math.isnan(float(rows[1][4]))  # no tracking -> lyapunov column NaN
 
-    def test_a_long_run_holds_its_record_and_one_block_of_the_metric_pass(self):
-        # T = 200 000 rows, filled after the loop. A pass over all of them
-        # at once builds f_H's (T, h) temporaries (77.8 MB under tracemalloc);
-        # a pass a chunk at a time holds fewer than the (_NOISE_BLOCK, h)
-        # ones allowed here. The run exits at a repeat of its state; the
-        # next test bounds it tighter
-        inst = build_random_quadratic_family(n=20, d=1, rng=RngStream(0, 0, "r"))
-        T, h = 200_000, inst.pop.h
-        tracemalloc.start()
-        try:
-            rec = run(_cfg(inst, T=T, sched=ScheduleSpec(gamma0=0.01)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        record = sum(getattr(rec, c).nbytes for c in (
-            "t", "grad_norm_sq", "f_gap", "dist_to_ref", "lyapunov", "gamma", "beta", "xs"))
-        repeat_fill = 2 * T * 8
-        block = 5 * trainer._NOISE_BLOCK * h * 8
-        assert peak < record + repeat_fill + block + 2**20
-
     def test_an_exiting_run_holds_its_record_and_one_chunk_of_the_metric_pass(self):
-        # the run above, which exits at step 2394: the cycle is copied into
+        # T = 200 000 rows, filled after the loop. A pass over all of them
+        # at once builds f_H's (T, h) temporaries (77.8 MB under
+        # tracemalloc). The run exits at step 2394: the cycle is copied into
         # the record's own rows, and the metric pass holds a few (chunk, h)
         # arrays at d = 1 (honest_grads' product and sum, its row mean,
         # f_H's terms). An index vector per remaining row peaked 3.05 MiB
@@ -856,6 +838,14 @@ class TestLyapunovTracking:
         record, trace = track_lyapunov(cfg)       # kappa from the spec (0.05)
         record2, trace2 = track_lyapunov(cfg, kappa=0.05)
         assert np.array_equal(trace.V, trace2.V)
+
+    def test_a_non_finite_value_names_its_iteration_and_column(self):
+        cfg, _ = self._tracked_cfg(seed=5, T=10)
+        record = run(cfg)
+        record.f_gap[0] = math.inf  # the gap at x^1, read by V^2
+        with pytest.raises(NumericFailure, match="non-finite lyapunov at iteration 2") as exc:
+            trainer.lyapunov_trace(cfg, record, 0.05)
+        assert (exc.value.iteration, exc.value.column) == (2, "lyapunov")
 
     def test_kappa_required_somewhere(self):
         inst = build_hetero_lower_bound(mu=1.0, G=1.0, B=0.5)
